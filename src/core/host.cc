@@ -108,34 +108,26 @@ sched::EntityId Host::EntityOf(Vm* vm, uint32_t vcpu) const {
   return it == vm_base_entity_.end() ? sched::kIdle : it->second + vcpu;
 }
 
-void Host::WakeVcpu(const Phase& ph, Vm* vm, uint32_t vcpu) {
-  sched::EntityId id = EntityOf(vm, vcpu);
-  if (id == sched::kIdle) {
-    return;
-  }
-  vm->vcpu(vcpu).state.waiting = false;
-  if (SliceWork* slice = tls_slice_; slice != nullptr && slice->host == this) {
-    // Only an executing lane can be inside a slice for this host.
-    assert(ph.AsExecute() != nullptr);
-    slice->wakes.push_back(WakeOp{vm, vcpu, true});
-    return;
-  }
-  (void)ph;
-  sched_->SetRunnable(id, true, clock().now());
-}
+void Host::WakeVcpu(const Phase& ph, Vm* vm, uint32_t vcpu) { SetRunnable(ph, vm, vcpu, true); }
 
-void Host::BlockVcpu(const Phase& ph, Vm* vm, uint32_t vcpu) {
+void Host::BlockVcpu(const Phase& ph, Vm* vm, uint32_t vcpu) { SetRunnable(ph, vm, vcpu, false); }
+
+void Host::SetRunnable(const Phase& ph, Vm* vm, uint32_t vcpu, bool runnable) {
   sched::EntityId id = EntityOf(vm, vcpu);
   if (id == sched::kIdle) {
     return;
   }
-  if (SliceWork* slice = tls_slice_; slice != nullptr && slice->host == this) {
-    assert(ph.AsExecute() != nullptr);
-    slice->wakes.push_back(WakeOp{vm, vcpu, false});
+  if (runnable) {
+    vm->vcpu(vcpu).state.waiting = false;
+  }
+  if (const ExecutePhase* ep = ph.AsExecute()) {
+    if (ep->wakes_.host != this) {
+      StagingViolation("vCPU wake staged for another host");
+    }
+    ep->wakes_.ops.push_back(WakeStage::Op{vm, vcpu, runnable});
     return;
   }
-  (void)ph;
-  sched_->SetRunnable(id, false, clock().now());
+  sched_->SetRunnable(id, runnable, clock().now());
 }
 
 void Host::SetFaultInjector(fault::FaultInjector* injector, std::string site) {
@@ -243,9 +235,9 @@ void Host::CommitSlices(const CommitPhase& commit, RoundPlan& plan) {
   // the post-round state is identical for any worker count.
   for (SliceWork& work : plan.slices) {
     clock().CommitStage(commit, work.clock_stage);
-    switch_.CommitStage(commit, work.tx_stage);
-    pool_.CommitStage(commit, work.pool_stage);
-    for (const WakeOp& op : work.wakes) {
+    switch_.CommitStage(commit, work.tx_stage, work.start);
+    mem::FramePool::CommitStage(commit, work.pool_stage);
+    for (const WakeStage::Op& op : work.wakes.ops) {
       sched::EntityId wid = EntityOf(op.vm, op.vcpu);
       if (wid != sched::kIdle) {
         sched_->SetRunnable(wid, op.runnable, work.start);
@@ -316,26 +308,14 @@ void Host::ParkIdles(const RoundPlan& plan, SimTime domain_min_done,
 }
 
 void Host::ExecuteSlice(SliceWork& work) {
-  // The lane's ExecutePhase: every staging API below takes it, and its
-  // lifetime marks this thread as inside-execute so ScopedSerialPhase
-  // cannot be minted from guest-triggered code.
-  ExecutePhase ep;
+  // The lane's ExecutePhase carries the slice's stages; while it lives,
+  // ScopedSerialPhase cannot be minted from guest-triggered code.
   work.clock_stage.clock = &domain_->clock();
-  work.clock_stage.vnow = work.start;
   work.tx_stage.sw = &switch_;
-  work.tx_stage.vnow = work.start;
-  work.pool_stage.pool = &pool_;
-  SimClock::SetStage(ep, &work.clock_stage);
-  net::VirtualSwitch::SetStage(ep, &work.tx_stage);
-  mem::FramePool::SetStage(ep, &work.pool_stage);
-  internal::SetThreadLogSink(ep, &work.log);
-  tls_slice_ = &work;
-  work.result = work.ref.vm->RunVcpuSlice(ep, work.ref.vcpu, work.budget, work.start);
-  tls_slice_ = nullptr;
-  internal::SetThreadLogSink(ep, nullptr);
-  mem::FramePool::SetStage(ep, nullptr);
-  net::VirtualSwitch::SetStage(ep, nullptr);
-  SimClock::SetStage(ep, nullptr);
+  work.wakes.host = this;
+  ExecutePhase ep(work.start, work.clock_stage, work.tx_stage, work.pool_stage, work.wakes,
+                  work.log);
+  work.result = work.ref.vm->RunVcpuSlice(ep, work.ref.vcpu, work.budget);
 }
 
 bool Host::AnyVcpuRunnable() const {

@@ -40,6 +40,20 @@ class FaultInjector;
 
 namespace hyperion::core {
 
+class Host;
+
+// A slice's deferred scheduler wakes/blocks, replayed at commit; `host` is
+// the slice's host.
+struct WakeStage {
+  struct Op {
+    Vm* vm;
+    uint32_t vcpu;
+    bool runnable;
+  };
+  Host* host = nullptr;
+  std::vector<Op> ops;
+};
+
 struct HostConfig {
   std::string name = "host";
   uint32_t num_pcpus = 4;
@@ -111,9 +125,9 @@ class Host {
 
   // --- Hooks used by Vm --------------------------------------------------
 
-  // Marks a vCPU runnable (device interrupt, page arrival, resume). Staged
-  // when called from inside an executing slice; the phase token is the
-  // static evidence the caller is in a legal regime for the route taken.
+  // Marks a vCPU runnable (device interrupt, page arrival, resume). Under an
+  // ExecutePhase the wake goes into the slice's WakeStage, which must be this
+  // host's; under a direct phase it reaches the scheduler at once.
   void WakeVcpu(const Phase& ph, Vm* vm, uint32_t vcpu);
   // Marks a vCPU not runnable (WFI, stall, halt).
   void BlockVcpu(const Phase& ph, Vm* vm, uint32_t vcpu);
@@ -172,13 +186,6 @@ class Host {
     uint32_t vcpu = 0;
   };
 
-  // A deferred scheduler wake/block captured during slice execution.
-  struct WakeOp {
-    Vm* vm;
-    uint32_t vcpu;
-    bool runnable;
-  };
-
   // One dispatched slice plus every side effect it staged while executing.
   struct SliceWork {
     Host* host = nullptr;
@@ -188,10 +195,10 @@ class Host {
     EntityRef ref;
     uint64_t budget = 0;
     SliceResult result;
-    SimClock::Stage clock_stage;
-    net::VirtualSwitch::TxStage tx_stage;
-    mem::FramePool::Stage pool_stage;
-    std::vector<WakeOp> wakes;
+    ClockStage clock_stage;
+    net::TxStage tx_stage;
+    mem::PoolStage pool_stage;
+    WakeStage wakes;
     std::string log;
   };
 
@@ -213,6 +220,9 @@ class Host {
   };
 
   sched::EntityId EntityOf(Vm* vm, uint32_t vcpu) const;
+  // Shared leaf of WakeVcpu/BlockVcpu; a wake also clears the vCPU's
+  // waiting flag.
+  void SetRunnable(const Phase& ph, Vm* vm, uint32_t vcpu, bool runnable);
 
   // --- Per-member round pieces, called by TimeDomain::RunRound -------------
 
@@ -237,14 +247,9 @@ class Host {
   // dispatch-time window suggested).
   void ParkIdles(const RoundPlan& plan, SimTime domain_min_done, SimTime event_horizon);
 
-  // Mints an ExecutePhase, installs the thread-local stages, runs the
-  // slice, clears the stages.
+  // Mints the slice's ExecutePhase over its stages and runs the slice.
   void ExecuteSlice(SliceWork& work);
   void CrashAllVms(const Status& reason);
-
-  // Set while this thread executes a slice for this host; WakeVcpu/BlockVcpu
-  // append to its wake list instead of touching the scheduler.
-  static inline thread_local SliceWork* tls_slice_ = nullptr;
 
   HostConfig config_;
   // The host thread's serial-phase capability, handed to everything the host

@@ -147,8 +147,7 @@ Status Vm::LoadImage(const assembler::Image& image) {
   return OkStatus();
 }
 
-SliceResult Vm::RunVcpuSlice(const ExecutePhase& ph, uint32_t vcpu_idx, uint64_t budget,
-                             SimTime now) {
+SliceResult Vm::RunVcpuSlice(const ExecutePhase& ph, uint32_t vcpu_idx, uint64_t budget) {
   // Publish the slice's phase to the paths that cannot take it as a
   // parameter: the engine reaches it through VcpuContext, and transparent
   // COW breaks inside GuestMemory::Write charge their decref to it.
@@ -158,7 +157,7 @@ SliceResult Vm::RunVcpuSlice(const ExecutePhase& ph, uint32_t vcpu_idx, uint64_t
   // fast-translation array validates against its generation automatically.
   virt_->SetActiveVcpu(vcpu_idx);
   running_vcpu_ = vcpu_idx;
-  SliceResult res = RunVcpuSliceInner(ph, vcpu_idx, budget, now);
+  SliceResult res = RunVcpuSliceInner(ph, vcpu_idx, budget);
   running_vcpu_ = kNoVcpu;
   memory_->SetEffectPhase(nullptr);
   vcpus_[vcpu_idx]->ctx.phase = nullptr;
@@ -197,8 +196,9 @@ verify::AuditReport Vm::AuditInvariants() const {
 }
 
 SliceResult Vm::RunVcpuSliceInner(const ExecutePhase& ph, uint32_t vcpu_idx,
-                                  uint64_t budget, SimTime now) {
+                                  uint64_t budget) {
   SliceResult res;
+  SimTime now = ph.vnow();
   if (state_ != VmState::kRunning) {
     res.end = SliceEnd::kHalted;
     return res;

@@ -105,12 +105,11 @@ class Vm {
   // Loads an assembled image into guest RAM and points vCPU 0 at its entry.
   Status LoadImage(const assembler::Image& image);
 
-  // Runs one vCPU for at most `budget` cycles, handling hypercalls inline.
-  // Only the host run loop can mint the ExecutePhase this demands; the
-  // token (and the effect-phase pointers derived from it) threads through
-  // every side effect the slice performs.
-  SliceResult RunVcpuSlice(const ExecutePhase& ph, uint32_t vcpu, uint64_t budget,
-                           SimTime now);
+  // Runs one vCPU for at most `budget` cycles from the slice's start time
+  // (ph.vnow()), handling hypercalls inline. Only the host run loop can mint
+  // the ExecutePhase this demands; the token (and the effect-phase pointers
+  // derived from it) threads through every side effect the slice performs.
+  SliceResult RunVcpuSlice(const ExecutePhase& ph, uint32_t vcpu, uint64_t budget);
 
   // Lifecycle. Dual-regime: Pause/Resume run serially (migration, tests)
   // but Crash also fires from inside a slice (engine fault), so all three
@@ -198,8 +197,7 @@ class Vm {
   bool HandleHypercall(const ExecutePhase& ph, uint32_t vcpu, SimTime now, SliceEnd* end);
 
   // RunVcpuSlice body; the public wrapper appends the audit hook.
-  SliceResult RunVcpuSliceInner(const ExecutePhase& ph, uint32_t vcpu, uint64_t budget,
-                                SimTime now);
+  SliceResult RunVcpuSliceInner(const ExecutePhase& ph, uint32_t vcpu, uint64_t budget);
 
   Host* host_;
   VmConfig config_;

@@ -26,7 +26,9 @@ namespace hyperion::fault {
 class FaultyBlockStore final : public storage::BlockStore {
  public:
   // `clock` may be null: time-windowed events then key off now == 0 and only
-  // op-count windows select faults.
+  // op-count windows select faults. Inside a vCPU slice on `clock`'s domain
+  // the time is the slice's start, read from the thread's current slice
+  // (BlockStore calls carry no phase token).
   FaultyBlockStore(std::shared_ptr<storage::BlockStore> inner,
                    FaultInjector* injector, std::string site,
                    SimClock* clock = nullptr)
@@ -44,7 +46,13 @@ class FaultyBlockStore final : public storage::BlockStore {
   storage::BlockStore* inner() { return inner_.get(); }
 
  private:
-  SimTime now() const { return clock_ != nullptr ? clock_->now() : 0; }
+  SimTime now() const {
+    if (clock_ == nullptr) {
+      return 0;
+    }
+    const ExecutePhase* slice = ExecutePhase::Current();
+    return slice != nullptr && slice->clock_.clock == clock_ ? slice->vnow() : clock_->now();
+  }
 
   std::shared_ptr<storage::BlockStore> inner_;
   FaultInjector* injector_;

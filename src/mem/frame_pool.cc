@@ -46,25 +46,25 @@ Result<HostFrame> FramePool::AllocateNetBuf() {
 }
 
 void FramePool::ReleaseNetBuf(HostFrame frame) {
-  Stage* s = tls_stage_;
-  if (s != nullptr && s->pool == this) {
-    assert(IsAllocated(frame));
-    s->decrefs.push_back(frame);
+  if (const ExecutePhase* slice = ExecutePhase::Current()) {
+    DecRef(*slice, frame);
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
   DecRefLocked(frame);
 }
 
-void FramePool::DecRefAny(const Phase&, HostFrame frame) {
-  Stage* s = tls_stage_;
-  if (s != nullptr && s->pool == this) {
-    assert(IsAllocated(frame));
-    s->decrefs.push_back(frame);
-    return;
+void FramePool::DecRef(const ExecutePhase& ph, HostFrame frame) {
+  assert(IsAllocated(frame));
+  ph.pool_.decrefs.emplace_back(this, frame);
+}
+
+void FramePool::DecRef(const Phase& ph, HostFrame frame) {
+  if (const ExecutePhase* ep = ph.AsExecute()) {
+    DecRef(*ep, frame);
+  } else {
+    DecRefImmediate(*ph.AsDirect(), frame);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  DecRefLocked(frame);
 }
 
 void FramePool::DecRefImmediate(const DirectPhase&, HostFrame frame) {
@@ -72,13 +72,15 @@ void FramePool::DecRefImmediate(const DirectPhase&, HostFrame frame) {
   DecRefLocked(frame);
 }
 
-void FramePool::CommitStage(const CommitPhase&, Stage& stage) {
-  if (stage.decrefs.empty()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (HostFrame frame : stage.decrefs) {
-    DecRefLocked(frame);
+void FramePool::CommitStage(const CommitPhase&, PoolStage& stage) {
+  // One lock per run of same-pool entries: almost always the whole stage.
+  const auto& decrefs = stage.decrefs;
+  for (size_t i = 0; i < decrefs.size();) {
+    FramePool* pool = decrefs[i].first;
+    std::lock_guard<std::mutex> lock(pool->mu_);
+    for (; i < decrefs.size() && decrefs[i].first == pool; ++i) {
+      pool->DecRefLocked(decrefs[i].second);
+    }
   }
   stage.decrefs.clear();
 }

@@ -6,14 +6,17 @@
 // Concurrency (DESIGN.md §8): during a round of the staged execution core,
 // worker threads may Allocate (COW break, balloon deflate) and stage DecRefs
 // (COW break, balloon inflate); Allocate/AddRef take the pool mutex, DecRef
-// is deferred into a per-slice Stage and applied at the round barrier in
-// deterministic commit order. Because AddRef only ever happens at barriers
-// (KSM scans, snapshot restore) and DecRefs are deferred, every refcount a
-// slice can observe is stable for the whole round — sharing decisions do not
-// depend on worker interleaving. Frame *numbers* handed out by Allocate may
-// vary with interleaving, but frame numbering is invisible to guest-visible
-// state; the one observable caveat is allocation-failure attribution when
-// the pool runs dry mid-round, which is schedule-dependent.
+// is deferred into the PoolStage the slice's ExecutePhase carries and
+// applied at the round barrier in deterministic commit order. The stage
+// holds (pool, frame) pairs, so a release into another host's pool (a
+// payload that crossed the fabric) stages the same way. Because AddRef only
+// ever happens at barriers (KSM scans, snapshot restore) and DecRefs are
+// deferred, every refcount a slice can observe is stable for the whole
+// round — sharing decisions do not depend on worker interleaving. Frame
+// *numbers* handed out by Allocate may vary with interleaving, but frame
+// numbering is invisible to guest-visible state; the one observable caveat
+// is allocation-failure attribution when the pool runs dry mid-round, which
+// is schedule-dependent.
 //
 // Phase discipline (DESIGN.md §9): the immediate-effect entry points
 // (DecRefImmediate, AddRef) demand a direct-phase token that worker lanes
@@ -26,6 +29,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "src/isa/hv32.h"
@@ -44,6 +48,13 @@ namespace hyperion::mem {
 using HostFrame = uint32_t;
 inline constexpr HostFrame kInvalidFrame = UINT32_MAX;
 
+class FramePool;
+
+// A slice's deferred DecRefs, in staging order (see the file comment).
+struct PoolStage {
+  std::vector<std::pair<FramePool*, HostFrame>> decrefs;
+};
+
 class FramePool {
  public:
   // A pool holding `num_frames` 4 KiB frames (all initially free).
@@ -52,18 +63,8 @@ class FramePool {
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
 
-  // Per-slice staging buffer for deferred DecRefs (see the file comment).
-  struct Stage {
-    FramePool* pool = nullptr;
-    std::vector<HostFrame> decrefs;
-  };
-
-  // Installs `stage` as the current thread's staging buffer (nullptr to
-  // clear). Only the host run loop does this, around each slice.
-  static void SetStage(const ExecutePhase&, Stage* stage) { tls_stage_ = stage; }
-
   // Applies a slice's staged DecRefs, in staging order (round barrier).
-  void CommitStage(const CommitPhase&, Stage& stage);
+  static void CommitStage(const CommitPhase&, PoolStage& stage);
 
   // Allocates a zeroed frame with refcount 1.
   Result<HostFrame> Allocate();
@@ -83,12 +84,12 @@ class FramePool {
   size_t netbuf_frames() const HYP_NO_THREAD_SAFETY_ANALYSIS { return netbuf_count_; }
 
   // Drops one reference from an executing slice: deferred into the slice's
-  // Stage, applied at the round barrier.
-  void DecRef(const ExecutePhase& ph, HostFrame frame) { DecRefAny(ph, frame); }
+  // PoolStage, applied at the round barrier.
+  void DecRef(const ExecutePhase& ph, HostFrame frame);
 
   // Phase-dispatching decref for code that runs in both regimes
   // (GuestMemory COW break / balloon paths).
-  void DecRef(const Phase& ph, HostFrame frame) { DecRefAny(ph, frame); }
+  void DecRef(const Phase& ph, HostFrame frame);
 
   // Drops one reference in place; the frame returns to the free list at
   // refcount 0. Serial/commit phases only.
@@ -110,7 +111,7 @@ class FramePool {
 
  private:
   // Release path for FrameBuf's control block, which dies wherever the last
-  // handle dies: stages when the current thread is inside an execute slice,
+  // handle dies: stages into the thread's current slice when there is one,
   // drops the reference in place otherwise. Private on purpose — the
   // destructor of a refcounted buffer cannot carry a phase token, so the
   // hole in the token discipline is scoped to the one friend that needs it,
@@ -126,13 +127,7 @@ class FramePool {
     return frame < refcount_.size() && refcount_[frame] > 0;
   }
 
-  // Shared leaf under the token-typed entry points: stage when the current
-  // thread is staging for this pool, decref in place otherwise (PR 5 body).
-  void DecRefAny(const Phase& ph, HostFrame frame);
-
   void DecRefLocked(HostFrame frame) HYP_REQUIRES(mu_);
-
-  static inline thread_local Stage* tls_stage_ = nullptr;
 
   // Guards refcount_/free_count_/alloc_cursor_ against concurrent Allocate
   // calls from slices. RefCount reads are deliberately lockless: the only

@@ -283,7 +283,7 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
       return false;  // truly absent page (ballooned) — a real guest bug
     }
     waiters_[gpn].push_back(vcpu);
-    SimTime start = dst_host_->clock().now();
+    SimTime start = ph.vnow();
     ++rep_->demand_fetches;
     if (in_flight_.count(gpn)) {
       // Already on the wire (background batch or an earlier fault); wait.

@@ -10,9 +10,10 @@
 // kMaxChunks non-contiguous 4 KiB host frames, enough for a jumbo frame —
 // and falls back to a heap vector when the pool is exhausted or absent
 // (unit tests, frames built outside a VM). Pool-backed storage is released
-// through FramePool::ReleaseNetBuf, which stages the decref when the last
-// handle dies inside an execute slice; that keeps pool state bit-identical
-// across worker counts even though handle lifetimes end on worker threads.
+// through FramePool::ReleaseNetBuf, which stages the decref into the thread's
+// current slice when the last handle dies inside one (whichever host's pool
+// the frames came from); that keeps pool state bit-identical across worker
+// counts even though handle lifetimes end on worker threads.
 //
 // Handles are cheap to copy (one shared_ptr); the control block's atomic
 // refcount makes cross-thread handle copies safe without further locking.

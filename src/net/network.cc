@@ -1,7 +1,6 @@
 #include "src/net/network.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/fault/fault.h"
 
@@ -12,7 +11,7 @@ SimTime Link::TransferFaultyImpl(const Phase& ph, size_t bytes, SimClock::Callba
   if (injector_ == nullptr) {
     return Transfer(ph, bytes, std::move(on_done));
   }
-  SimTime start = std::max(clock_.now(), busy_until_);
+  SimTime start = std::max(clock_.now(ph), busy_until_);
   SimTime base = params_.TransmitTime(bytes) + params_.latency;
   fault::TransferFault f = injector_->OnTransfer(fault_site_, start, base);
   SimTime done = start + base + f.extra_latency;
@@ -47,47 +46,38 @@ Status VirtualSwitch::Detach(const DirectPhase&, MacAddr addr) {
   return OkStatus();
 }
 
-void VirtualSwitch::SendAny(const Phase& ph, Frame frame) {
-  TxStage* stage = tls_stage_;
-  if (stage != nullptr && stage->sw == this) {
-    stage->frames.push_back(std::move(frame));
-    return;
+TxStage& VirtualSwitch::StageOf(const ExecutePhase& ph) {
+  if (ph.tx_.sw != this) {
+    StagingViolation("frame staged for another host's switch");
   }
-  // Execute-phase sends always target the staged switch (each NIC talks to
-  // its own host's switch), so a non-staged send must carry a direct token.
-  const DirectPhase* dp = ph.AsDirect();
-  assert(dp != nullptr && "cross-switch send from an executing slice");
-  if (dp != nullptr) {
-    SendAt(*dp, std::move(frame), clock_->now());
-  }
+  return ph.tx_;
 }
 
-void VirtualSwitch::Send(const DirectPhase& ph, Frame frame) { SendAny(ph, std::move(frame)); }
-
-void VirtualSwitch::StageTx(const ExecutePhase& ph, Frame frame) {
-  SendAny(ph, std::move(frame));
+void VirtualSwitch::Send(const DirectPhase& ph, Frame frame) {
+  SendAt(ph, std::move(frame), clock_->now());
 }
 
-void VirtualSwitch::Transmit(const Phase& ph, Frame frame) { SendAny(ph, std::move(frame)); }
+void VirtualSwitch::Transmit(const Phase& ph, Frame frame) {
+  if (const ExecutePhase* ep = ph.AsExecute()) {
+    StageOf(*ep).frames.push_back(std::move(frame));
+  } else {
+    Send(*ph.AsDirect(), std::move(frame));
+  }
+}
 
 SimTime VirtualSwitch::TransmitBurst(const Phase& ph, std::vector<Frame> frames) {
-  TxStage* stage = tls_stage_;
-  if (stage != nullptr && stage->sw == this) {
+  if (const ExecutePhase* ep = ph.AsExecute()) {
+    TxStage& stage = StageOf(*ep);
     for (Frame& frame : frames) {
-      stage->frames.push_back(std::move(frame));
+      stage.frames.push_back(std::move(frame));
     }
     return 0;  // egress unknown until the barrier commit
   }
-  const DirectPhase* dp = ph.AsDirect();
-  assert(dp != nullptr && "cross-switch burst from an executing slice");
-  if (dp != nullptr) {
-    return SendRunAt(*dp, frames, clock_->now());
-  }
-  return 0;
+  return SendRunAt(*ph.AsDirect(), frames, clock_->now());
 }
 
-void VirtualSwitch::CommitStage(const CommitPhase& ph, TxStage& stage) {
-  SendRunAt(ph, stage.frames, stage.vnow);
+void VirtualSwitch::CommitStage(const CommitPhase& ph, TxStage& stage, SimTime at) {
+  SendRunAt(ph, stage.frames, at);
   stage.frames.clear();
 }
 

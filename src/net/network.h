@@ -4,6 +4,11 @@
 // Time is the host's SimClock; a frame of S bytes on a link with bandwidth B
 // and propagation delay D arrives D + S/B after transmission begins, and a
 // link serializes back-to-back transmissions (store-and-forward).
+//
+// Staged execution (DESIGN.md §8): a frame transmitted inside a vCPU slice
+// goes into the TxStage its ExecutePhase carries, and is committed at the
+// round barrier stamped with the slice's start time — exactly when the
+// serial loop would have sent it. A slice may stage only for its own switch.
 
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
@@ -78,13 +83,11 @@ class Link {
 
   const LinkParams& params() const { return params_; }
 
-  // Schedules a transfer of `bytes`; returns its completion time. Transfers
-  // queue behind one another (the link is busy while transmitting).
-  SimTime ScheduleTransfer(size_t bytes) { return ScheduleTransferAt(clock_.now(), bytes); }
-
-  // Like ScheduleTransfer, but with an explicit submission time `at` (>= any
-  // previous submission). Used when the switch commits staged frames whose
-  // logical send time is the originating slice's start, not the commit time.
+  // Schedules a transfer of `bytes` submitted at `at` (>= any previous
+  // submission); returns its completion time. Transfers queue behind one
+  // another (the link is busy while transmitting). The submission time is
+  // explicit because it is not always the clock's: a slice submits at its
+  // start, and the switch commits staged frames at the originating slice's.
   SimTime ScheduleTransferAt(SimTime at, size_t bytes) {
     SimTime start = std::max(at, busy_until_);
     SimTime done = start + params_.TransmitTime(bytes) + params_.latency;
@@ -96,7 +99,7 @@ class Link {
   // Convenience: transfer and invoke `on_done` at completion.
   template <typename F>
   SimTime Transfer(const Phase& ph, size_t bytes, F on_done) {
-    SimTime done = ScheduleTransfer(bytes);
+    SimTime done = ScheduleTransferAt(clock_.now(ph), bytes);
     clock_.ScheduleAt(ph, done, std::move(on_done));
     return done;
   }
@@ -164,6 +167,14 @@ class UplinkPort {
   virtual void OnUplinkFrame(const DirectPhase& ph, Frame frame, SimTime at) = 0;
 };
 
+class VirtualSwitch;
+
+// A slice's staged transmissions (see the file comment); `sw` is its switch.
+struct TxStage {
+  VirtualSwitch* sw = nullptr;
+  std::vector<Frame> frames;
+};
+
 // A learningless switch: ports register with their address; unicast goes to
 // the owning port, broadcast to everyone else. Each port has its own link
 // characteristics; delivery happens through the SimClock. With an uplink
@@ -173,23 +184,9 @@ class VirtualSwitch {
  public:
   explicit VirtualSwitch(SimClock* clock) : clock_(clock) {}
 
-  // Per-slice staging buffer (DESIGN.md §8): while a vCPU slice executes on
-  // a worker thread, its transmitted frames are queued here instead of going
-  // through the shared port/link/clock state. The host thread commits them
-  // at the round barrier, in deterministic dispatch order, stamped with the
-  // slice's start time — exactly when the serial loop would have sent them.
-  struct TxStage {
-    VirtualSwitch* sw = nullptr;
-    SimTime vnow = 0;
-    std::vector<Frame> frames;
-  };
-
-  // Installs `stage` as the current thread's staging buffer (nullptr to
-  // clear). Only the host run loop does this, around each slice.
-  static void SetStage(const ExecutePhase&, TxStage* stage) { tls_stage_ = stage; }
-
-  // Delivers a slice's staged frames, in staging order (round barrier).
-  void CommitStage(const CommitPhase&, TxStage& stage);
+  // Delivers a slice's staged frames, in staging order, with logical send
+  // time `at` (the slice's start; round barrier).
+  void CommitStage(const CommitPhase&, TxStage& stage, SimTime at);
 
   // Attaches `sink` with address `addr`. Fails on duplicate addresses.
   Status Attach(const DirectPhase&, MacAddr addr, FrameSink* sink,
@@ -215,12 +212,9 @@ class VirtualSwitch {
   // Invalid frames are counted and dropped.
   void Send(const DirectPhase&, Frame frame);
 
-  // Appends `frame` to the executing slice's TxStage for delivery at the
-  // round barrier (worker lanes).
-  void StageTx(const ExecutePhase&, Frame frame);
-
   // Phase-dispatching transmit for code that runs in both regimes (NIC
-  // doorbells): stages under an ExecutePhase, sends under a direct phase.
+  // doorbells): appends to the slice's TxStage under an ExecutePhase, sends
+  // under a direct phase.
   void Transmit(const Phase& ph, Frame frame);
 
   // Transmits a batch in order. Staged regime: the batch is appended to the
@@ -265,9 +259,8 @@ class VirtualSwitch {
     Link link;
   };
 
-  // Shared leaf under the token-typed entry points: stage when the current
-  // thread is staging for this switch, deliver otherwise (PR 5 Send body).
-  void SendAny(const Phase& ph, Frame frame);
+  // The executing slice's TxStage, which must be this switch's.
+  TxStage& StageOf(const ExecutePhase& ph);
 
   void SendAt(const DirectPhase& ph, Frame frame, SimTime at);
   void DeliverTo(const DirectPhase& ph, MacAddr dst_key, PortState& port,
@@ -289,8 +282,6 @@ class VirtualSwitch {
   // address when the event runs; shared by DeliverTo and delayed burst
   // stragglers).
   void ScheduleDeliver(const DirectPhase& ph, MacAddr dst_key, Frame frame, SimTime fire);
-
-  static inline thread_local TxStage* tls_stage_ = nullptr;
 
   SimClock* clock_;
   std::map<MacAddr, std::unique_ptr<PortState>> ports_;

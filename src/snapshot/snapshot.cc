@@ -29,24 +29,21 @@ constexpr uint8_t kFlagIncremental = 1;
 Result<std::vector<uint8_t>> SaveVm(core::Vm& vm, SaveOptions options, SnapshotInfo* info) {
   ByteWriter w;
   w.WriteU32(kMagic);
-  uint32_t version = options.legacy_v1 ? 1 : kVersion;
-  w.WriteU32(version);
+  w.WriteU32(kVersion);
   // Translation sections are collected up front so the feature word can say
   // definitively whether the trailing sections exist. An interpreter engine
   // serializes to an empty blob; that still counts as the section being
   // present (restore passes it through and the engine ignores it).
   uint32_t features = 0;
   std::vector<std::vector<uint8_t>> translations;
-  if (version >= 2 && options.translations) {
+  if (options.translations) {
     features |= kFeatTranslations;
     translations.reserve(vm.num_vcpus());
     for (uint32_t i = 0; i < vm.num_vcpus(); ++i) {
       translations.push_back(vm.engine(i).SerializeTranslations());
     }
   }
-  if (version >= 2) {
-    w.WriteU32(features);
-  }
+  w.WriteU32(features);
   w.WriteU8(options.incremental ? kFlagIncremental : 0);
   w.WriteU32(vm.memory().ram_size());
   w.WriteU32(vm.num_vcpus());

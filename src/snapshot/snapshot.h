@@ -25,9 +25,6 @@ struct SaveOptions {
   // its first pass). Restore revalidates every unit against the restored
   // memory; anything stale degrades to cold translation.
   bool translations = true;
-  // Emit the pre-translation v1 layout (no feature-bits word, no optional
-  // sections) for downgrade paths and compatibility testing.
-  bool legacy_v1 = false;
 };
 
 struct SnapshotInfo {

@@ -24,9 +24,6 @@
 
 namespace hyperion {
 
-// Simulated time in cycles (1 cycle == 1 ns at the nominal 1 GHz).
-using SimTime = uint64_t;
-
 // The queue itself is protected by the phase discipline (src/util/phase.h),
 // not a mutex: Push happens only under a direct-phase token (worker lanes
 // stage instead), and Pop/CancelOwner only from serial code. Callbacks

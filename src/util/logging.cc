@@ -8,7 +8,6 @@ namespace hyperion {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kOff};
-thread_local std::string* t_sink = nullptr;
 
 std::mutex& EmitMutex() {
   static std::mutex mu;
@@ -44,8 +43,6 @@ bool LogEnabled(LogLevel level) {
   return level >= min && min != LogLevel::kOff;
 }
 
-void SetThreadLogSink(const ExecutePhase&, std::string* sink) { t_sink = sink; }
-
 void WriteLogText(const DirectPhase&, const std::string& text) {
   if (text.empty()) {
     return;
@@ -66,8 +63,8 @@ LogMessage::LogMessage(LogLevel level, std::string_view file, int line) : level_
 LogMessage::~LogMessage() {
   stream_ << "\n";
   std::string text = stream_.str();
-  if (t_sink != nullptr) {
-    *t_sink += text;
+  if (const ExecutePhase* slice = ExecutePhase::Current()) {
+    slice->log_ += text;
     return;
   }
   std::lock_guard<std::mutex> lock(EmitMutex());

@@ -3,10 +3,11 @@
 // Logging is off by default (benchmarks must stay quiet); tests and examples
 // raise the level explicitly. Thread-safe: the level is atomic and emission
 // is serialized. While the staged execution core (DESIGN.md §8) runs vCPU
-// slices on worker threads, each worker redirects its messages into a
-// per-slice buffer (SetThreadLogSink); the host thread flushes the buffers
-// at the round barrier in deterministic commit order, so log output is
-// identical for any worker count.
+// slices on worker threads, a message emitted inside a slice goes into the
+// log buffer its ExecutePhase carries (found through the thread's current
+// slice, since a log line cannot take a token); the host thread flushes the
+// buffers at the round barrier in deterministic commit order, so log output
+// is identical for any worker count.
 
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
@@ -29,18 +30,13 @@ namespace internal {
 
 bool LogEnabled(LogLevel level);
 
-// Redirects this thread's log output into `sink` (nullptr restores direct
-// stderr emission). Installed by the host run loop around each slice; the
-// ExecutePhase token keeps worker-lane code from re-pointing the sink.
-void SetThreadLogSink(const ExecutePhase&, std::string* sink);
-
 // Writes already-formatted log text to stderr under the emission lock.
 // Used by the run loop to flush staged per-slice buffers at commit; the
 // direct-phase token keeps lanes from bypassing their slice buffer.
 void WriteLogText(const DirectPhase&, const std::string& text);
 
-// Accumulates one message and emits it to the thread's sink (or stderr) on
-// destruction.
+// Accumulates one message and emits it on destruction: into the executing
+// slice's log buffer on a worker lane, to stderr otherwise.
 class LogMessage {
  public:
   LogMessage(LogLevel level, std::string_view file, int line);

@@ -10,9 +10,8 @@
 //   * serial  — everything else: setup, teardown, clock callbacks, the
 //     inter-round portions of Host::RunFor, tests.
 //
-// PR 5 enforced this split dynamically (thread-local stages + TSan). The
-// token types below turn it into a *compile-time* discipline: staging-only
-// APIs demand `const ExecutePhase&`, direct-effect APIs demand
+// The token types below make this split a *compile-time* discipline:
+// staging-only APIs demand `const ExecutePhase&`, direct-effect APIs demand
 // `const DirectPhase&` (of which CommitPhase and SerialPhase are the only
 // concrete kinds), and the constructors are private to the host run loop —
 // code running on a worker lane holds an ExecutePhase and has no way to
@@ -20,31 +19,63 @@
 // `VirtualSwitch::Send` require, so a forgotten staging call is a type error
 // instead of a latent race. tests/negcompile/ pins this property.
 //
-// Tokens are evidence, not mechanism: the thread-local stage routing from
-// PR 5 is unchanged underneath, and TSan still guards what the type system
-// cannot see (see DESIGN.md §9 for the split).
+// The execute token is also the route: it carries the slice's stages and
+// its frozen start time, and every staged API appends to the stage in the
+// token it receives. Staging for anything but the slice's own clock, switch
+// or host is a StagingViolation, never a silent direct effect. Dual-context
+// code (device completions, migrate demand-fetch) takes `const Phase&` and
+// lets a phase-dispatching wrapper (ClockRef, VirtualSwitch::Transmit,
+// FramePool::DecRef, Host::WakeVcpu) pick the staged or direct leaf.
 //
-// Dual-context code (device completions, migrate demand-fetch) that runs
-// both inside slices and from serial callbacks takes `const Phase&` and lets
-// a phase-dispatching wrapper (ClockRef::ScheduleAt, VirtualSwitch::Transmit,
-// FramePool::DecRef(const Phase&, ...)) pick the staged or direct leaf.
-//
-// The one sanctioned acquisition point outside the run loop is
-// ScopedSerialPhase, whose constructor asserts at runtime that the thread is
-// not inside an execute phase: the capability is checked once where it is
-// minted, and propagated statically everywhere else.
+// The one thread-local is the executing slice's token, for the few callers
+// that cannot receive one, and for ScopedSerialPhase — the one sanctioned
+// acquisition point outside the run loop — whose constructor aborts inside
+// an execute phase: the capability is checked once where it is minted, and
+// propagated statically everywhere else.
 
 #ifndef SRC_UTIL_PHASE_H_
 #define SRC_UTIL_PHASE_H_
 
 #include <cassert>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 namespace hyperion {
 
+// Simulated time in cycles (1 cycle == 1 ns at the nominal 1 GHz).
+using SimTime = uint64_t;
+
+// The stage types and the classes that read them, one per layer.
+class SimClock;
+struct ClockStage;
+namespace internal {
+class LogMessage;
+}  // namespace internal
 namespace core {
 class Host;
 class TimeDomain;
+struct WakeStage;
 }  // namespace core
+namespace fault {
+class FaultyBlockStore;
+}  // namespace fault
+namespace mem {
+class FramePool;
+struct PoolStage;
+}  // namespace mem
+namespace net {
+class VirtualSwitch;
+struct TxStage;
+}  // namespace net
+
+// A staging-discipline break the types cannot rule out (see the file
+// comment). Aborts in every build type.
+[[noreturn]] inline void StagingViolation(const char* what) {
+  std::fprintf(stderr, "staging violation: %s\n", what);
+  std::abort();
+}
 
 class ExecutePhase;
 class DirectPhase;
@@ -56,8 +87,6 @@ class Phase {
  public:
   Phase(const Phase&) = delete;
   Phase& operator=(const Phase&) = delete;
-
-  bool execute() const { return execute_; }
 
   // Downcasts for phase-dispatching wrappers; exactly one is non-null.
   const ExecutePhase* AsExecute() const;
@@ -72,21 +101,43 @@ class Phase {
 };
 
 // Held by a worker lane for the duration of one vCPU slice. Grants access to
-// staging APIs only. Minted exclusively by Host::ExecuteSlice; its lifetime
-// also marks the thread as "inside execute" so ScopedSerialPhase can reject
-// acquisition from a lane.
+// staging APIs only (the friends below), whose stages it carries. Minted
+// exclusively by Host::ExecuteSlice; while it lives it is the thread's
+// current slice.
 class ExecutePhase final : public Phase {
+ public:
+  // The slice's start time, frozen for the whole slice.
+  SimTime vnow() const { return vnow_; }
+
  private:
-  ExecutePhase() : Phase(true) {
-    assert(!tls_in_execute_);
-    tls_in_execute_ = true;
+  ExecutePhase(SimTime vnow, ClockStage& clock, net::TxStage& tx, mem::PoolStage& pool,
+               core::WakeStage& wakes, std::string& log)
+      : Phase(true), vnow_(vnow), clock_(clock), tx_(tx), pool_(pool), wakes_(wakes),
+        log_(log) {
+    assert(current_ == nullptr);
+    current_ = this;
   }
-  ~ExecutePhase() { tls_in_execute_ = false; }
+  ~ExecutePhase() { current_ = nullptr; }
 
-  static inline thread_local bool tls_in_execute_ = false;
+  // This thread's executing slice, or nullptr; for code without a token.
+  static const ExecutePhase* Current() { return current_; }
 
-  friend class core::Host;
-  friend class ScopedSerialPhase;
+  static inline thread_local const ExecutePhase* current_ = nullptr;
+
+  const SimTime vnow_;
+  ClockStage& clock_;
+  net::TxStage& tx_;
+  mem::PoolStage& pool_;
+  core::WakeStage& wakes_;
+  std::string& log_;
+
+  friend class core::Host;               // mints; stages wakes
+  friend class SimClock;                 // stages clock events
+  friend class net::VirtualSwitch;       // stages frames
+  friend class mem::FramePool;           // stages decrefs and FrameBuf releases
+  friend class internal::LogMessage;     // buffers log text
+  friend class fault::FaultyBlockStore;  // reads slice time behind BlockStore
+  friend class ScopedSerialPhase;        // rejects minting inside a slice
 };
 
 // Base for the two direct-effect tokens. APIs that mutate shared state
@@ -123,12 +174,16 @@ class SerialPhase final : public DirectPhase {
 // Runtime-checked acquisition of a SerialPhase for code that is serial by
 // construction but outside the run loop's static reach: test bodies,
 // example mains, teardown paths, and the transparent-COW fallback in
-// GuestMemory::Write. The assert is the single dynamic check backing the
-// otherwise-static discipline — constructing one on a worker lane (inside
-// an ExecutePhase) is a bug.
+// GuestMemory::Write. The check backs the otherwise-static discipline and
+// survives NDEBUG: constructing one on a worker lane (inside an
+// ExecutePhase) aborts.
 class ScopedSerialPhase {
  public:
-  ScopedSerialPhase() { assert(!ExecutePhase::tls_in_execute_); }
+  ScopedSerialPhase() {
+    if (ExecutePhase::Current() != nullptr) {
+      StagingViolation("ScopedSerialPhase minted inside an execute phase");
+    }
+  }
 
   ScopedSerialPhase(const ScopedSerialPhase&) = delete;
   ScopedSerialPhase& operator=(const ScopedSerialPhase&) = delete;

@@ -5,25 +5,22 @@
 // only moves when the simulation advances it, which makes every run
 // deterministic regardless of host speed.
 //
-// Staged execution (DESIGN.md §8): while the host run loop executes vCPU
-// slices on worker threads, the shared event queue must not be touched
-// concurrently. A worker installs a thread-local SimClock::Stage for the
-// duration of a slice; now() then reads the slice's start time (the value the
-// serial loop would have seen, since the clock never moves mid-slice) and
-// Stage* calls append to the stage instead of the queue. The host thread
-// merges stages at the round barrier with CommitStage, in deterministic
-// dispatch order, so the final queue contents are identical for any worker
-// count — including zero.
+// Staged execution (DESIGN.md §8): while the run loop executes vCPU slices
+// on worker threads, the shared event queue must not be touched
+// concurrently. Each slice's ExecutePhase carries a ClockStage and the
+// slice's start time: StageOwned appends to that stage instead of the queue,
+// and slice code reads time from the token (ClockRef::now(ph)), never from
+// now(), which is the queue's time. The host thread merges stages at the
+// round barrier with CommitStage, in deterministic dispatch order, so the
+// final queue contents are identical for any worker count — including zero.
 //
 // Phase discipline (DESIGN.md §9): the direct-effect entry points
 // (ScheduleOwned/ScheduleAt/ScheduleAfter, RunUntil/RunAll, CommitStage)
 // demand a direct-phase capability token that worker lanes can never hold;
-// lanes use the Stage* counterparts, which demand an ExecutePhase. Code that
-// runs in both regimes dispatches through ClockRef. Underneath, both leaves
-// share the PR 5 thread-local routing, so the tokens add a static gate
-// without changing behavior: a direct call against a *different* clock than
-// the staged one (the two-host migration case) still goes straight to that
-// clock's queue, exactly as before.
+// lanes use StageOwned, which demands an ExecutePhase. Code that runs in
+// both regimes dispatches through ClockRef. Staging for a clock other than
+// the slice's own is a StagingViolation: hosts whose slices schedule on each
+// other's clocks must share one TimeDomain.
 
 #ifndef SRC_UTIL_SIM_CLOCK_H_
 #define SRC_UTIL_SIM_CLOCK_H_
@@ -48,6 +45,17 @@ inline double SimTimeToMs(SimTime t) { return static_cast<double>(t) / kSimTicks
 inline double SimTimeToUs(SimTime t) { return static_cast<double>(t) / kSimTicksPerUs; }
 inline double SimTimeToSec(SimTime t) { return static_cast<double>(t) / kSimTicksPerSec; }
 
+// A slice's staged clock events (see the file comment); `clock` is its clock.
+struct ClockStage {
+  SimClock* clock = nullptr;
+  struct Staged {
+    SimTime when;
+    uint64_t owner;
+    EventQueue::Callback fn;
+  };
+  std::vector<Staged> events;
+};
+
 // A monotonically advancing simulated clock with a pending-event queue.
 // Events scheduled at the same time fire in scheduling order (stable).
 class SimClock {
@@ -67,29 +75,7 @@ class SimClock {
     }
   }
 
-  // Per-slice staging buffer (see the file comment). `clock` names the
-  // instance being staged for — two hosts coexist during live migration, and
-  // only calls against the staged instance are intercepted.
-  struct Stage {
-    SimClock* clock = nullptr;
-    SimTime vnow = 0;  // the slice's start time, frozen for the whole slice
-    struct Staged {
-      SimTime when;
-      uint64_t owner;
-      Callback fn;
-    };
-    std::vector<Staged> events;
-  };
-
-  // Installs `stage` as the current thread's staging buffer (nullptr to
-  // clear). Only the host run loop does this, around each slice.
-  static void SetStage(const ExecutePhase&, Stage* stage) { tls_stage_ = stage; }
-  static Stage* CurrentStage() { return tls_stage_; }
-
-  SimTime now() const {
-    const Stage* s = tls_stage_;
-    return (s != nullptr && s->clock == this) ? s->vnow : now_;
-  }
+  SimTime now() const { return now_; }
 
   // --- Direct scheduling (serial / commit phases only) --------------------
 
@@ -97,7 +83,8 @@ class SimClock {
   // `owner` (see EventQueue; 0 = uncancellable).
   template <typename F>
   void ScheduleOwned(const DirectPhase&, SimTime when, uint64_t owner, F fn) {
-    ScheduleOwnedAny(when, owner, WrapCallback(std::move(fn)));
+    assert(when >= now_);
+    queue_.Push(when, owner, WrapCallback(std::move(fn)));
   }
 
   // Schedules `fn` to run at absolute time `when` (>= now).
@@ -109,33 +96,28 @@ class SimClock {
   // Schedules `fn` to run `delay` cycles from now.
   template <typename F>
   void ScheduleAfter(const DirectPhase& ph, SimTime delay, F fn) {
-    ScheduleOwned(ph, now() + delay, 0, std::move(fn));
+    ScheduleOwned(ph, now_ + delay, 0, std::move(fn));
   }
 
   // --- Staged scheduling (execute phase: worker lanes) --------------------
 
-  // Appends to the executing slice's stage (or, for a clock other than the
-  // staged one, falls through to that clock's queue — see the file comment).
+  // Appends to the executing slice's ClockStage; `when` is validated
+  // against the slice's start time.
   template <typename F>
-  void StageOwned(const ExecutePhase&, SimTime when, uint64_t owner, F fn) {
-    ScheduleOwnedAny(when, owner, WrapCallback(std::move(fn)));
-  }
-
-  template <typename F>
-  void StageAt(const ExecutePhase& ph, SimTime when, F fn) {
-    StageOwned(ph, when, 0, std::move(fn));
-  }
-
-  template <typename F>
-  void StageAfter(const ExecutePhase& ph, SimTime delay, F fn) {
-    StageOwned(ph, now() + delay, 0, std::move(fn));
+  void StageOwned(const ExecutePhase& ph, SimTime when, uint64_t owner, F fn) {
+    ClockStage& stage = ph.clock_;
+    if (stage.clock != this) {
+      StagingViolation("event staged for another domain's clock");
+    }
+    assert(when >= ph.vnow());
+    stage.events.push_back(ClockStage::Staged{when, owner, WrapCallback(std::move(fn))});
   }
 
   // Merges a slice's staged events into the queue, in staging order. Called
   // at the round barrier; each staged `when` was validated against the
   // slice's vnow, which is never before the queue's current time.
-  void CommitStage(const CommitPhase&, Stage& stage) {
-    for (Stage::Staged& ev : stage.events) {
+  void CommitStage(const CommitPhase&, ClockStage& stage) {
+    for (ClockStage::Staged& ev : stage.events) {
       assert(ev.when >= now_);
       queue_.Push(ev.when, ev.owner, std::move(ev.fn));
     }
@@ -195,22 +177,6 @@ class SimClock {
   }
 
  private:
-  // Shared leaf under both token-typed entry points: stage when the current
-  // thread is staging for this clock, push directly otherwise. Identical to
-  // the PR 5 ScheduleOwned body.
-  void ScheduleOwnedAny(SimTime when, uint64_t owner, Callback fn) {
-    Stage* s = tls_stage_;
-    if (s != nullptr && s->clock == this) {
-      assert(when >= s->vnow);
-      s->events.push_back(Stage::Staged{when, owner, std::move(fn)});
-      return;
-    }
-    assert(when >= now_);
-    queue_.Push(when, owner, std::move(fn));
-  }
-
-  static inline thread_local Stage* tls_stage_ = nullptr;
-
   SimTime now_ = 0;
   uint64_t last_owner_ = 0;
   EventQueue queue_;
@@ -224,9 +190,9 @@ class SimClock {
 //
 // ClockRef is the phase-dispatching wrapper for dual-context code: device
 // completion paths run both inside slices (doorbell MMIO from a worker
-// lane) and from serial callbacks (snapshot restore, tests), so its
-// Schedule* methods take `const Phase&` and route to the staged or direct
-// leaf accordingly.
+// lane) and from serial callbacks (snapshot restore, tests), so its now()
+// and Schedule* methods take `const Phase&` and route to the slice's token
+// or the clock itself accordingly.
 class ClockRef {
  public:
   ClockRef() = default;
@@ -237,7 +203,12 @@ class ClockRef {
   SimClock* clock() const { return clock_; }
   uint64_t owner() const { return owner_; }
 
-  SimTime now() const { return clock_->now(); }
+  // The current time in `ph`'s regime: the slice's frozen start time inside
+  // an execute phase, the clock's time otherwise.
+  SimTime now(const Phase& ph) const {
+    const ExecutePhase* ep = ph.AsExecute();
+    return ep != nullptr ? ep->vnow() : clock_->now();
+  }
 
   template <typename F>
   void ScheduleAt(const Phase& ph, SimTime when, F fn) {
@@ -250,7 +221,7 @@ class ClockRef {
 
   template <typename F>
   void ScheduleAfter(const Phase& ph, SimTime delay, F fn) {
-    ScheduleAt(ph, clock_->now() + delay, std::move(fn));
+    ScheduleAt(ph, now(ph) + delay, std::move(fn));
   }
 
  private:

@@ -51,8 +51,9 @@ Status VirtioNet::DrainRound(const Phase& ph) {
     // faster than the egress link transmits only piles frames into the
     // switch's event queue without delivering any sooner.
     SimTime delay = opts_.tx_poll_interval;
-    if (r.egress_clear > clock_.now()) {
-      delay = std::max(delay, r.egress_clear - clock_.now());
+    SimTime now = clock_.now(ph);
+    if (r.egress_clear > now) {
+      delay = std::max(delay, r.egress_clear - now);
     }
     clock_.ScheduleAfter(ph, delay,
                          [this, gen = poll_gen_](const SerialPhase& sp) { PollTx(sp, gen); });

@@ -537,16 +537,29 @@ TEST(SnapshotTest, WarmTranslationsPrimeRestoredClone) {
 TEST(SnapshotTest, LegacyV1ImageStillRestores) {
   // Backward compatibility: a v1-format snapshot (no feature-bits word, no
   // translation sections) must still restore on the current code -- the
-  // clone just starts cold.
+  // clone just starts cold. The writer only emits the current version, so
+  // the v1 image is derived from a translation-free save: version word set
+  // to 1, the (zero) feature word after it dropped, the trailer CRC
+  // re-sealed.
   Host host;
   constexpr uint32_t kIters = 600000;
   std::string prog = guest::ComputeProgram(kIters);
   Vm* vm = WarmPausedVm(host, "v1src", prog);
 
   snapshot::SaveOptions opts;
-  opts.legacy_v1 = true;
+  opts.translations = false;
   auto bytes = snapshot::SaveVm(*vm, opts);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  // Layout: u32 magic, u32 version, u32 features, ...; all little-endian.
+  ASSERT_GT(bytes->size(), 16u);
+  ASSERT_EQ((*bytes)[4], 2u);
+  ASSERT_EQ((*bytes)[8] | (*bytes)[9] | (*bytes)[10] | (*bytes)[11], 0);
+  (*bytes)[4] = 1;
+  bytes->erase(bytes->begin() + 8, bytes->begin() + 12);
+  uint32_t crc = Crc32(bytes->data(), bytes->size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[bytes->size() - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
 
   auto restored = snapshot::CloneVm(host, WarmDbtConfig("v1dst"), *bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();

@@ -9,6 +9,8 @@
 #include <set>
 
 #include "src/core/host.h"
+#include "src/core/time_domain.h"
+#include "src/devices/mmio.h"
 #include "src/fault/fault.h"
 #include "tests/test_phase.h"
 #include "src/fault/faulty_store.h"
@@ -454,6 +456,119 @@ TEST(DeviceFaultTest, EmulatedBlkSignalsErrorAndGuestContinues) {
   EXPECT_NE(vm->state(), core::VmState::kCrashed) << vm->crash_reason().ToString();
   EXPECT_EQ(vm->emulated_blk()->stats().reads, 3u);
   EXPECT_EQ(inj.stats().read_errors, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Time-windowed block faults judge a write at its slice's start
+// ---------------------------------------------------------------------------
+
+// Guest-physical base of the block-writing probe (outside every platform
+// device window).
+constexpr uint32_t kProbeBase = 0xF0200000u;
+
+// Spins, stores to the probe, repeats forever.
+std::string ProbeStoreLoopProgram(uint32_t spin) {
+  return ".org 0x1000\n"
+         "_start:\n"
+         "    li s0, " + std::to_string(kProbeBase) + "\n"
+         "loop:\n"
+         "    li s1, " + std::to_string(spin) + "\n"
+         "spin:\n"
+         "    addi s1, s1, -1\n"
+         "    bnez s1, spin\n"
+         "    sw s1, 0(s0)\n"
+         "    j loop\n";
+}
+
+struct ProbeWrite {
+  SimTime slice_time;  // the storing slice's start
+  SimTime anchor;      // the writer host clock's time: the round anchor
+  bool ok;             // the faulty store accepted the write
+};
+
+// On every guest store, writes one sector to `store` from inside the slice.
+class BlockWriteProbe final : public devices::MmioDevice {
+ public:
+  BlockWriteProbe(core::Vm* vm, const SimClock* clock, storage::BlockStore* store)
+      : vm_(vm), clock_(clock), store_(store) {}
+
+  std::string_view name() const override { return "block-write-probe"; }
+  Result<uint32_t> Read(uint32_t, uint32_t) override { return 0u; }
+  Status Write(const Phase&, uint32_t, uint32_t, uint32_t) override {
+    uint8_t sector[storage::kSectorSize] = {};
+    writes.push_back(ProbeWrite{vm_->vcpu(0).slice_start, clock_->now(),
+                                store_->WriteSectors(0, 1, sector).ok()});
+    return OkStatus();
+  }
+
+  std::vector<ProbeWrite> writes;
+
+ private:
+  core::Vm* vm_;
+  const SimClock* clock_;
+  storage::BlockStore* store_;
+};
+
+// Two hosts share a domain and the writer's host has the longer timeslice,
+// so after the first round the writer's slices start after the round
+// anchor. The writer's probe writes to a FaultyBlockStore bound to
+// `store_clock`, or to the writer host's clock when that is null.
+std::vector<ProbeWrite> LateSliceWrites(const FaultPlan& plan, SimClock* store_clock) {
+  FaultInjector inj(plan);
+  core::TimeDomain domain(/*worker_threads=*/0);
+  core::HostConfig compute_cfg;
+  compute_cfg.name = "compute";
+  compute_cfg.num_pcpus = 1;
+  compute_cfg.timeslice_cycles = 700'000;
+  core::HostConfig writer_cfg;
+  writer_cfg.name = "writer";
+  writer_cfg.num_pcpus = 1;
+  writer_cfg.timeslice_cycles = 1'000'000;
+  core::Host compute_host(compute_cfg, &domain);
+  core::Host writer_host(writer_cfg, &domain);
+  Boot(compute_host, core::VmConfig{.name = "compute"}, guest::ComputeProgram(0));
+  core::Vm* writer =
+      Boot(writer_host, core::VmConfig{.name = "writer"}, ProbeStoreLoopProgram(20'000));
+  FaultyBlockStore store(std::make_shared<storage::MemBlockStore>(16), &inj, "disk",
+                         store_clock != nullptr ? store_clock : &writer_host.clock());
+  BlockWriteProbe probe(writer, &writer_host.clock(), &store);
+  EXPECT_TRUE(writer->bus().Map(kProbeBase, devices::kDeviceWindow, &probe).ok());
+  domain.RunFor(20 * kSimTicksPerMs);
+  return probe.writes;
+}
+
+TEST(FaultyStoreTest, TimeWindowedWriteErrorUsesTheSliceStart) {
+  // A fault-free run finds a write whose slice starts after its round's
+  // anchor; the window then opens exactly at that slice's start, so reading
+  // the anchor instead would let that write through.
+  const std::vector<ProbeWrite> dry = LateSliceWrites(FaultPlan{}, nullptr);
+  auto late = std::find_if(dry.begin(), dry.end(),
+                           [](const ProbeWrite& w) { return w.anchor < w.slice_time; });
+  ASSERT_NE(late, dry.end()) << "no write ran in a slice after the round anchor";
+  const SimTime from = late->slice_time;
+
+  FaultPlan plan;
+  plan.Add(FaultEvent{.site = "disk", .kind = FaultKind::kWriteError, .from = from});
+  const std::vector<ProbeWrite> writes = LateSliceWrites(plan, nullptr);
+  ASSERT_EQ(writes.size(), dry.size());
+  for (size_t i = 0; i < writes.size(); ++i) {
+    EXPECT_EQ(writes[i].slice_time, dry[i].slice_time) << "write " << i;
+    EXPECT_EQ(writes[i].ok, writes[i].slice_time < from) << "write " << i;
+  }
+}
+
+TEST(FaultyStoreTest, StoreOnAnotherClockReadsThatClock) {
+  // The store's clock is not the slice's: it stays at 0, so the [0, 1 ms)
+  // window covers every write although the slices run until 20 ms.
+  SimClock other;
+  FaultPlan plan;
+  plan.Add(FaultEvent{.site = "disk", .kind = FaultKind::kWriteError, .until = kSimTicksPerMs});
+  const std::vector<ProbeWrite> writes = LateSliceWrites(plan, &other);
+  ASSERT_GT(writes.size(), 10u);
+  EXPECT_GT(writes.back().slice_time, kSimTicksPerMs);
+  for (const ProbeWrite& w : writes) {
+    EXPECT_FALSE(w.ok) << "write at slice time " << w.slice_time;
+  }
 }
 
 }  // namespace

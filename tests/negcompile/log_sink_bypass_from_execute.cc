@@ -4,8 +4,8 @@
 // internal::WriteLogText demands a DirectPhase token; bypassing the
 // per-slice log buffer from a worker lane would interleave log lines by
 // thread timing and break the bit-identical-across-worker-counts guarantee.
-// Slice logging goes through HYP_LOG, which appends to the buffer installed
-// by SetThreadLogSink and is flushed at commit.
+// Slice logging goes through HYP_LOG, which appends to the log buffer the
+// slice's ExecutePhase carries; the buffer is flushed at commit.
 
 #include <string>
 

@@ -3,7 +3,7 @@
 // VirtualSwitch::Send demands a DirectPhase token; delivering (or even
 // enqueueing) a frame directly from a worker lane would order cross-VM
 // traffic by thread timing. Slice code goes through Transmit(const Phase&,
-// ...), which routes to the per-slice TxStage.
+// ...), which appends to the TxStage its ExecutePhase carries.
 
 #include <utility>
 

@@ -72,8 +72,8 @@ TEST(LinkTest, BackToBackTransfersSerialize) {
   p.bandwidth_bps = 1'000'000'000;
   p.latency = 0;
   Link link(&clock, p);
-  SimTime first = link.ScheduleTransfer(1250);
-  SimTime second = link.ScheduleTransfer(1250);
+  SimTime first = link.ScheduleTransferAt(clock.now(), 1250);
+  SimTime second = link.ScheduleTransferAt(clock.now(), 1250);
   EXPECT_EQ(first, 10000u);
   EXPECT_EQ(second, 20000u);  // queued behind the first
 }

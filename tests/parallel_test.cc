@@ -23,7 +23,9 @@
 #include "src/cluster/cluster.h"
 #include "src/core/host.h"
 #include "tests/test_phase.h"
+#include "src/core/time_domain.h"
 #include "src/core/worker_pool.h"
+#include "src/devices/mmio.h"
 #include "src/fault/fault.h"
 #include "src/guest/programs.h"
 #include "src/migrate/migrate.h"
@@ -325,6 +327,117 @@ TEST(StagedExecutionTest, SmpMcsLockIsIdenticalAcrossWorkerCounts) {
   SmpResult four = RunSmpMcsScenario(/*workers=*/4);
   EXPECT_TRUE(serial == one) << "1-worker SMP run diverged from serial";
   EXPECT_TRUE(serial == four) << "4-worker SMP run diverged from serial";
+}
+
+// ---------------------------------------------------------------------------
+// Slice time and the serial-token check
+// ---------------------------------------------------------------------------
+
+// Guest-physical base of the test-only probe devices below (outside every
+// platform device window).
+constexpr uint32_t kProbeBase = 0xF0200000u;
+
+// Spins, stores to the probe, repeats forever.
+std::string ProbeStoreLoopProgram(uint32_t spin) {
+  return ".org 0x1000\n"
+         "_start:\n"
+         "    li s0, " + std::to_string(kProbeBase) + "\n"
+         "loop:\n"
+         "    li s1, " + std::to_string(spin) + "\n"
+         "spin:\n"
+         "    addi s1, s1, -1\n"
+         "    bnez s1, spin\n"
+         "    sw s1, 0(s0)\n"
+         "    j loop\n";
+}
+
+// On every guest store, schedules an event `kDelay` after "now" through a
+// ClockRef, from inside the slice, and records when it should fire: the
+// storing vCPU's slice start plus the delay. The slice start is the
+// guest-time base the vCPU runs against, which no clock read feeds.
+class SliceTimeProbe final : public devices::MmioDevice {
+ public:
+  static constexpr SimTime kDelay = 5 * kSimTicksPerMs;
+
+  SliceTimeProbe(Vm* vm, ClockRef clock) : vm_(vm), clock_(clock) {}
+
+  std::string_view name() const override { return "slice-time-probe"; }
+  Result<uint32_t> Read(uint32_t, uint32_t) override { return 0u; }
+  Status Write(const Phase& ph, uint32_t, uint32_t, uint32_t) override {
+    expected.push_back(vm_->vcpu(0).slice_start + kDelay);
+    clock_.ScheduleAfter(ph, kDelay, [this] { fired.push_back(clock_.clock()->now()); });
+    return OkStatus();
+  }
+
+  std::vector<SimTime> expected;
+  std::vector<SimTime> fired;
+
+ private:
+  Vm* vm_;
+  ClockRef clock_;
+};
+
+// Slice code must read time from its own slice, not from the round: two
+// hosts share a domain, and the writer's host has the longer timeslice, so
+// after the first round the writer's pCPU frees up later than the compute
+// host's and its slices start after the round anchor. A device event
+// scheduled from inside such a slice through ClockRef::ScheduleAfter must
+// fire at that slice's start plus the delay; reading the clock's time
+// instead fires it early by the slice's offset from the anchor. (Worker
+// counts cannot catch this: the wrong time is the same at every count.)
+TEST(StagedExecutionTest, DeviceEventFiresAtItsSliceStartPlusDelay) {
+  core::TimeDomain domain(/*worker_threads=*/0);
+  HostConfig compute_cfg;
+  compute_cfg.name = "compute";
+  compute_cfg.num_pcpus = 1;
+  compute_cfg.timeslice_cycles = 700'000;
+  HostConfig writer_cfg;
+  writer_cfg.name = "writer";
+  writer_cfg.num_pcpus = 1;
+  writer_cfg.timeslice_cycles = 1'000'000;
+  Host compute_host(compute_cfg, &domain);
+  Host writer_host(writer_cfg, &domain);
+  Boot(compute_host, VmConfig{.name = "compute"}, guest::ComputeProgram(0));
+  Vm* writer = Boot(writer_host, VmConfig{.name = "writer"}, ProbeStoreLoopProgram(20'000));
+  SliceTimeProbe probe(writer, ClockRef(&writer_host.clock(), 0));
+  ASSERT_TRUE(writer->bus().Map(kProbeBase, devices::kDeviceWindow, &probe).ok());
+
+  domain.RunFor(20 * kSimTicksPerMs);
+
+  ASSERT_GT(probe.fired.size(), 10u);
+  ASSERT_LE(probe.fired.size(), probe.expected.size());
+  probe.expected.resize(probe.fired.size());  // the rest are still pending
+  EXPECT_EQ(probe.fired, probe.expected);
+}
+
+// Mints a serial token from its write handler, i.e. from inside a slice.
+class SerialTokenMinter final : public devices::MmioDevice {
+ public:
+  std::string_view name() const override { return "serial-token-minter"; }
+  Result<uint32_t> Read(uint32_t, uint32_t) override { return 0u; }
+  Status Write(const Phase&, uint32_t, uint32_t, uint32_t) override {
+    ScopedSerialPhase serial;
+    return OkStatus();
+  }
+};
+
+// ScopedSerialPhase's inside-a-slice check is the one dynamic check behind
+// the static token discipline; it must hold in release builds too, so a
+// guest store that reaches a handler minting a serial token aborts.
+TEST(PhaseDisciplineDeathTest, SerialTokenMintedInsideSliceAborts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        HostConfig hc;
+        hc.worker_threads = 0;
+        Host host(hc);
+        Vm* vm = Boot(host, VmConfig{.name = "minter"}, ProbeStoreLoopProgram(100));
+        SerialTokenMinter minter;
+        if (vm->bus().Map(kProbeBase, devices::kDeviceWindow, &minter).ok()) {
+          host.RunFor(kSimTicksPerMs);
+        }
+      },
+      "ScopedSerialPhase minted inside an execute phase");
 }
 
 // ---------------------------------------------------------------------------

@@ -407,10 +407,6 @@ void Cluster::DrsTick() {
   ++stats_.drs_ticks;
   RefreshLoadWindows();
   EvacuateFailedHosts();
-  if (config_.checkpoint_every_ticks != 0 &&
-      stats_.drs_ticks % config_.checkpoint_every_ticks == 0) {
-    CheckpointAll();
-  }
   DrainTick();
   RebalanceTick();
   // Drain/rebalance migrations advance shared time, possibly past an injected

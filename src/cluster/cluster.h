@@ -62,9 +62,6 @@ struct ClusterConfig {
   migrate::MigrateOptions migrate;
   bool post_copy = false;  // use post-copy instead of pre-copy for DRS moves
   DrsConfig drs;
-  // Auto-checkpoint every N DRS ticks (the crash-evacuation template; see
-  // CheckpointVm). 0 = only explicit checkpoints.
-  uint32_t checkpoint_every_ticks = 0;
 };
 
 // One orchestrator-initiated migration, successful or not. `report` carries
@@ -131,7 +128,7 @@ class Cluster {
 
   // Snapshots the VM (pausing around the save if running) and stores the
   // bytes as its respawn template. A host crash evacuates only VMs that have
-  // a template; keep them fresh with checkpoint_every_ticks.
+  // a template; keep them fresh by checkpointing again (CheckpointAll).
   Status CheckpointVm(const std::string& name);
   // Checkpoints every running VM; returns how many were saved.
   size_t CheckpointAll();

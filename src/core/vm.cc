@@ -431,6 +431,15 @@ cpu::VcpuStats Vm::TotalStats() const {
     total.ipis_sent += s.ipis_sent;
     total.ipis_received += s.ipis_received;
     total.shootdowns += s.shootdowns;
+    total.tier2_promotions += s.tier2_promotions;
+    total.tier2_executions += s.tier2_executions;
+    total.deopts += s.deopts;
+    total.guards_elided += s.guards_elided;
+    total.csr_writes_elided += s.csr_writes_elided;
+    total.tier2_ops_folded += s.tier2_ops_folded;
+    total.tier2_ops_dead += s.tier2_ops_dead;
+    total.persist_hits += s.persist_hits;
+    total.persist_misses += s.persist_misses;
   }
   return total;
 }

@@ -76,12 +76,8 @@ void EmulatedBlockDevice::StartCommand(const Phase& ph, uint32_t cmd) {
   busy_ = true;
   error_ = false;
   data_ptr_ = 0;
-  if (clock_.valid()) {
-    clock_.ScheduleAfter(ph, static_cast<SimTime>(count_) * costs_.blk_sector_cost,
-                         [this, cmd](const SerialPhase& sp) { CompleteCommand(sp, cmd); });
-  } else {
-    CompleteCommand(ph, cmd);
-  }
+  clock_.ScheduleAfter(ph, static_cast<SimTime>(count_) * costs_.blk_sector_cost,
+                       [this, cmd](const SerialPhase& sp) { CompleteCommand(sp, cmd); });
 }
 
 void EmulatedBlockDevice::CompleteCommand(const Phase& ph, uint32_t cmd) {

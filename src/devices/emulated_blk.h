@@ -29,10 +29,9 @@ class EmulatedBlockDevice final : public MmioDevice {
  public:
   static constexpr uint32_t kMaxSectorsPerCmd = 8;
 
-  // `clock` may be invalid, in which case commands complete synchronously
-  // (useful in unit tests); with a clock, completion is scheduled at
-  // count * blk_sector_cost and the IRQ line fires. Passing an owner-tagged
-  // ClockRef lets the owning VM cancel in-flight completions on destruction.
+  // Completion is scheduled on `clock` at count * blk_sector_cost, and then
+  // the IRQ line fires. Passing an owner-tagged ClockRef lets the owning VM
+  // cancel in-flight completions on destruction.
   EmulatedBlockDevice(storage::BlockStore* store, IrqLine irq, ClockRef clock,
                       const CostModel& costs = CostModel::Default())
       : store_(store), irq_(irq), clock_(clock), costs_(costs), buffer_(kMaxSectorsPerCmd * 512) {}

@@ -54,7 +54,9 @@ Status EmulatedNetDevice::Write(const Phase& ph, uint32_t offset, uint32_t size,
         f.src = addr_;
         f.dst = tx_dst_;
         f.payload.Assign(tx_.data(), tx_len_);
-        switch_->Transmit(ph, std::move(f));
+        std::vector<net::Frame> frames;
+        frames.push_back(std::move(f));
+        switch_->TransmitBurst(ph, std::move(frames));
         ++stats_.tx_frames;
         data_ptr_ = 0;
         return OkStatus();
@@ -97,14 +99,16 @@ void EmulatedNetDevice::Reset(const DirectPhase&) {
   rx_valid_ = false;
 }
 
-void EmulatedNetDevice::OnFrame(const SerialPhase& ph, const net::Frame& frame) {
-  if (frame.payload.size() > kBufBytes || rx_queue_.size() >= 64) {
-    ++stats_.rx_dropped;
-    return;
+void EmulatedNetDevice::OnFrames(const SerialPhase& ph, std::span<const net::Frame> frames) {
+  for (const net::Frame& frame : frames) {
+    if (frame.payload.size() > kBufBytes || rx_queue_.size() >= 64) {
+      ++stats_.rx_dropped;
+      continue;
+    }
+    rx_queue_.push_back(frame);
+    ++stats_.rx_frames;
+    irq_.Assert(ph);
   }
-  rx_queue_.push_back(frame);
-  ++stats_.rx_frames;
-  irq_.Assert(ph);
 }
 
 }  // namespace hyperion::devices

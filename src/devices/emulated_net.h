@@ -38,7 +38,7 @@ class EmulatedNetDevice final : public MmioDevice, public net::FrameSink {
   void Reset(const DirectPhase& ph) override;
 
   // net::FrameSink
-  void OnFrame(const SerialPhase& ph, const net::Frame& frame) override;
+  void OnFrames(const SerialPhase& ph, std::span<const net::Frame> frames) override;
 
   struct Stats {
     uint64_t tx_frames = 0;

@@ -25,12 +25,6 @@ uint64_t MachineStateBytes(core::Vm& vm) {
   return 4096 + static_cast<uint64_t>(vm.num_vcpus()) * 256;
 }
 
-core::VmConfig DestConfig(const core::Vm& vm) {
-  // Same configuration; the disk is shared storage, so the shared_ptr simply
-  // attaches at the destination too.
-  return vm.config();
-}
-
 // The source side of the migration wire: sends chunks while the source host
 // (and the guest, unless paused) keeps running, retrying lost chunks with
 // exponential backoff. Each attempt spends real wire time, so the guest
@@ -218,16 +212,13 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
   if (!image.ok()) {
     return abort_switchover(image.status());
   }
-  auto created = dst.CreateVm(DestConfig(*vm));
+  // Same configuration; the disk is shared storage, so the shared_ptr simply
+  // attaches at the destination too.
+  auto created = snapshot::CloneVm(dst, vm->config(), *image);
   if (!created.ok()) {
     return abort_switchover(created.status());
   }
   core::Vm* dvm = *created;
-  Status st = snapshot::LoadVm(*dvm, *image);
-  if (!st.ok()) {
-    (void)dst.DestroyVm(dvm);
-    return abort_switchover(st);
-  }
   dvm->Pause(serial);   // align lifecycle state, then resume cleanly
   dvm->Resume(serial);
 
@@ -433,7 +424,6 @@ Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst
   bool was_running = vm->state() == core::VmState::kRunning;
   ScopedSerialPhase serial;
   MigrationReport rep;
-  SimTime t0 = src.clock().now();
   WireSender wire(src, options, rep);
 
   // Switchover: only the machine state crosses before the guest resumes. A
@@ -460,16 +450,13 @@ Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst
   if (!image.ok()) {
     return abort_switchover(image.status());
   }
-  auto created = dst.CreateVm(DestConfig(*vm));
+  // Same configuration; the disk is shared storage, so the shared_ptr simply
+  // attaches at the destination too.
+  auto created = snapshot::CloneVm(dst, vm->config(), *image);
   if (!created.ok()) {
     return abort_switchover(created.status());
   }
   core::Vm* dvm = *created;
-  Status st = snapshot::LoadVm(*dvm, *image);
-  if (!st.ok()) {
-    (void)dst.DestroyVm(dvm);
-    return abort_switchover(st);
-  }
   // Strip all RAM: pages fault over on demand.
   for (uint32_t gpn = 0; gpn < dvm->memory().num_pages(); ++gpn) {
     if (dvm->memory().IsPresent(gpn)) {
@@ -523,7 +510,6 @@ Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst
   dvm->SetMissingPageHandler(nullptr);
 
   rep.total_time = rep.downtime + (dst.clock().now() - run_start);
-  (void)t0;
   Publish(report, rep);
   return dvm;
 }

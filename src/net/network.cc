@@ -54,15 +54,7 @@ TxStage& VirtualSwitch::StageOf(const ExecutePhase& ph) {
 }
 
 void VirtualSwitch::Send(const DirectPhase& ph, Frame frame) {
-  SendAt(ph, std::move(frame), clock_->now());
-}
-
-void VirtualSwitch::Transmit(const Phase& ph, Frame frame) {
-  if (const ExecutePhase* ep = ph.AsExecute()) {
-    StageOf(*ep).frames.push_back(std::move(frame));
-  } else {
-    Send(*ph.AsDirect(), std::move(frame));
-  }
+  Route(ph, std::span<Frame>(&frame, 1), clock_->now(), /*uplink_egress=*/true);
 }
 
 SimTime VirtualSwitch::TransmitBurst(const Phase& ph, std::vector<Frame> frames) {
@@ -73,175 +65,99 @@ SimTime VirtualSwitch::TransmitBurst(const Phase& ph, std::vector<Frame> frames)
     }
     return 0;  // egress unknown until the barrier commit
   }
-  return SendRunAt(*ph.AsDirect(), frames, clock_->now());
+  return Route(*ph.AsDirect(), frames, clock_->now(), /*uplink_egress=*/true);
 }
 
 void VirtualSwitch::CommitStage(const CommitPhase& ph, TxStage& stage, SimTime at) {
-  SendRunAt(ph, stage.frames, at);
+  Route(ph, stage.frames, at, /*uplink_egress=*/true);
   stage.frames.clear();
 }
 
-SimTime VirtualSwitch::SendRunAt(const DirectPhase& ph, std::vector<Frame>& frames,
-                                 SimTime at) {
+void VirtualSwitch::DeliverFromFabric(const DirectPhase& ph, Frame frame, SimTime at) {
+  Route(ph, std::span<Frame>(&frame, 1), at, /*uplink_egress=*/false);
+}
+
+SimTime VirtualSwitch::Route(const DirectPhase& ph, std::span<Frame> frames, SimTime at,
+                             bool uplink_egress) {
+  // Fabric ingress was already counted as sent by the remote switch.
+  (uplink_egress ? stats_.frames_sent : stats_.frames_from_fabric) += frames.size();
   SimTime clear = 0;
   size_t i = 0;
   while (i < frames.size()) {
+    MacAddr dst = frames[i].dst;
     size_t j = i + 1;
-    if (frames[i].dst != kBroadcast) {
+    if (dst != kBroadcast) {
       size_t cap = std::min(frames.size(), i + kMaxBurstFrames);
-      while (j < cap && frames[j].dst == frames[i].dst) {
+      while (j < cap && frames[j].dst == dst) {
         ++j;
       }
     }
-    if (j - i == 1) {
-      SendAt(ph, std::move(frames[i]), at);
-    } else {
-      clear = std::max(clear, SendBurstAt(ph, std::span<Frame>(frames.data() + i, j - i), at));
-    }
+    std::span<Frame> run = frames.subspan(i, j - i);
     i = j;
+    // The coalescing decision belongs to the source run: oversized frames
+    // drop here but still count toward it.
+    bool coalesce = run.size() >= 2;
+    auto fits = std::remove_if(run.begin(), run.end(), [](const Frame& f) {
+      return f.payload.size() > kMaxFrameBytes;
+    });
+    stats_.frames_dropped += run.end() - fits;
+    run = run.first(fits - run.begin());
+
+    if (dst == kBroadcast) {
+      if (run.empty()) {
+        continue;
+      }
+      for (auto& [addr, port] : ports_) {
+        if (addr != run.front().src) {
+          DeliverRun(ph, addr, *port, run, at, /*coalesce=*/false);
+        }
+      }
+      if (uplink_egress && uplink_ != nullptr) {
+        // Flood the fabric too; remote switches deliver locally only (split
+        // horizon: their ingress routes with uplink egress off), so the
+        // broadcast cannot loop back.
+        ++stats_.frames_uplinked;
+        uplink_->OnUplinkFrame(ph, std::move(run.front()), at);
+      }
+      continue;
+    }
+    auto it = ports_.find(dst);
+    if (it != ports_.end()) {
+      SimTime busy = DeliverRun(ph, dst, *it->second, run, at, coalesce);
+      if (coalesce) {
+        clear = std::max(clear, busy);
+      }
+    } else if (uplink_egress && uplink_ != nullptr) {
+      // Cross-host run: each frame egresses to the fabric individually (the
+      // fabric's links re-serialize them).
+      for (Frame& frame : run) {
+        ++stats_.frames_uplinked;
+        uplink_->OnUplinkFrame(ph, std::move(frame), at);
+      }
+    } else {
+      // Unknown destination; for fabric ingress, the port moved or detached
+      // while the frame crossed the fabric (live migration switchover).
+      stats_.frames_dropped += run.size();
+    }
   }
   return clear;
 }
 
-SimTime VirtualSwitch::SendBurstAt(const DirectPhase& ph, std::span<Frame> group, SimTime at) {
-  stats_.frames_sent += group.size();
-  auto it = ports_.find(group.front().dst);
-  if (it == ports_.end()) {
-    if (uplink_ != nullptr) {
-      // Cross-host run: each frame egresses to the fabric individually (the
-      // fabric's links re-serialize them; coalescing happens again at the
-      // remote switch's ingress if the sink supports it).
-      for (Frame& frame : group) {
-        if (frame.payload.size() > kMaxFrameBytes) {
-          ++stats_.frames_dropped;
-          continue;
-        }
-        ++stats_.frames_uplinked;
-        uplink_->OnUplinkFrame(ph, std::move(frame), at);
-      }
-      return 0;
-    }
-    stats_.frames_dropped += group.size();
-    return 0;
+SimTime VirtualSwitch::DeliverRun(const DirectPhase& ph, MacAddr dst_key, PortState& port,
+                                  std::span<const Frame> run, SimTime at, bool coalesce) {
+  // When coalescing, copies that survive injection undelayed accumulate
+  // into one delivery event at the last copy's link-completion time
+  // (ScheduleTransferAt is monotone across the loop, so that is also the
+  // batch's max). A delayed copy always leaves the batch and is scheduled
+  // individually: an injected delay lands after the wire time, so delayed
+  // frames are genuinely overtaken by later undelayed traffic (reordering),
+  // and coalescing must not defeat that.
+  std::vector<Frame> batch;
+  if (coalesce) {
+    batch.reserve(run.size());
   }
-  return DeliverBurstTo(ph, it->first, *it->second, group, at);
-}
-
-void VirtualSwitch::SendAt(const DirectPhase& ph, Frame frame, SimTime at) {
-  ++stats_.frames_sent;
-  if (frame.payload.size() > kMaxFrameBytes) {
-    ++stats_.frames_dropped;
-    return;
-  }
-  if (frame.dst == kBroadcast) {
-    for (auto& [addr, port] : ports_) {
-      if (addr != frame.src) {
-        DeliverTo(ph, addr, *port, frame, at);
-      }
-    }
-    if (uplink_ != nullptr) {
-      // Flood the fabric too; remote switches deliver locally only (split
-      // horizon in DeliverFromFabric), so the broadcast cannot loop back.
-      ++stats_.frames_uplinked;
-      uplink_->OnUplinkFrame(ph, std::move(frame), at);
-    }
-    return;
-  }
-  auto it = ports_.find(frame.dst);
-  if (it == ports_.end()) {
-    if (uplink_ != nullptr) {
-      ++stats_.frames_uplinked;
-      uplink_->OnUplinkFrame(ph, std::move(frame), at);
-      return;
-    }
-    ++stats_.frames_dropped;
-    return;
-  }
-  DeliverTo(ph, it->first, *it->second, frame, at);
-}
-
-void VirtualSwitch::DeliverFromFabric(const DirectPhase& ph, Frame frame, SimTime at) {
-  ++stats_.frames_from_fabric;
-  if (frame.payload.size() > kMaxFrameBytes) {
-    ++stats_.frames_dropped;
-    return;
-  }
-  if (frame.dst == kBroadcast) {
-    for (auto& [addr, port] : ports_) {
-      if (addr != frame.src) {
-        DeliverTo(ph, addr, *port, frame, at);
-      }
-    }
-    return;
-  }
-  auto it = ports_.find(frame.dst);
-  if (it == ports_.end()) {
-    // The port moved or detached while the frame crossed the fabric (live
-    // migration switchover): drop, exactly like an in-flight local frame.
-    ++stats_.frames_dropped;
-    return;
-  }
-  DeliverTo(ph, it->first, *it->second, frame, at);
-}
-
-void VirtualSwitch::DeliverTo(const DirectPhase& ph, MacAddr dst_key, PortState& port,
-                              const Frame& frame, SimTime at) {
-  size_t wire = frame.wire_bytes();
-  uint32_t copies = 1;
-  SimTime extra_latency = 0;
-  if (injector_ != nullptr) {
-    fault::FrameFault ff = injector_->OnFrame(fault_site_, at, frame.src, dst_key);
-    if (ff.drop) {
-      ++stats_.frames_dropped;
-      ++stats_.frames_injected_dropped;
-      return;
-    }
-    copies += ff.duplicates;
-    stats_.frames_injected_duplicated += ff.duplicates;
-    extra_latency = ff.extra_latency;
-    if (extra_latency != 0) {
-      ++stats_.frames_injected_delayed;
-    }
-  }
-  for (uint32_t c = 0; c < copies; ++c) {
-    SimTime done = port.link.ScheduleTransferAt(at, wire);
-    ScheduleDeliver(ph, dst_key, frame, done + extra_latency);
-  }
-}
-
-void VirtualSwitch::ScheduleDeliver(const DirectPhase& ph, MacAddr dst_key, Frame frame,
-                                    SimTime fire) {
-  // The port may detach while the frame is in flight, so the closure looks
-  // the port up again by address at delivery time. An injected delay lands
-  // after the wire time, so delayed frames are genuinely overtaken by
-  // later undelayed traffic (reordering).
-  clock_->ScheduleAt(ph, fire, [this, dst_key, frame = std::move(frame)](const SerialPhase& sp) {
-    auto it = ports_.find(dst_key);
-    if (it == ports_.end()) {
-      ++stats_.frames_dropped;  // port detached in flight
-      return;
-    }
-    ++stats_.frames_delivered;
-    stats_.bytes_delivered += frame.wire_bytes();
-    it->second->sink->OnFrame(sp, frame);
-  });
-}
-
-SimTime VirtualSwitch::DeliverBurstTo(const DirectPhase& ph, MacAddr dst_key, PortState& port,
-                                      std::span<Frame> group, SimTime at) {
-  // Frames that survive injection undelayed accumulate into one delivery
-  // event at the last frame's link-completion time (ScheduleTransferAt is
-  // monotone across the loop, so that is also the burst's max). A delayed
-  // copy leaves the burst and is scheduled individually — coalescing must
-  // not defeat injected reordering.
-  auto burst = std::make_shared<std::vector<Frame>>();
-  burst->reserve(group.size());
   SimTime last_done = 0;
-  for (Frame& frame : group) {
-    if (frame.payload.size() > kMaxFrameBytes) {
-      ++stats_.frames_dropped;
-      continue;
-    }
+  for (const Frame& frame : run) {
     size_t wire = frame.wire_bytes();
     uint32_t copies = 1;
     SimTime extra_latency = 0;
@@ -261,36 +177,39 @@ SimTime VirtualSwitch::DeliverBurstTo(const DirectPhase& ph, MacAddr dst_key, Po
     }
     for (uint32_t c = 0; c < copies; ++c) {
       SimTime done = port.link.ScheduleTransferAt(at, wire);
-      if (extra_latency != 0) {
-        ScheduleDeliver(ph, dst_key, frame, done + extra_latency);
-      } else {
-        burst->push_back(frame);
+      if (coalesce && extra_latency == 0) {
+        batch.push_back(frame);
         last_done = done;
+      } else {
+        ScheduleDelivery(ph, dst_key, {frame}, done + extra_latency);
       }
     }
   }
-  SimTime clear = port.link.busy_until();
-  if (burst->empty()) {
-    return clear;
+  if (!batch.empty()) {
+    ScheduleDelivery(ph, dst_key, std::move(batch), last_done);
   }
-  if (burst->size() == 1) {
-    ScheduleDeliver(ph, dst_key, std::move(burst->front()), last_done);
-    return clear;
-  }
-  clock_->ScheduleAt(ph, last_done, [this, dst_key, burst](const SerialPhase& sp) {
+  return port.link.busy_until();
+}
+
+void VirtualSwitch::ScheduleDelivery(const DirectPhase& ph, MacAddr dst_key,
+                                     std::vector<Frame> frames, SimTime fire) {
+  // The port may detach while the frames are in flight, so the event looks
+  // the port up again by address when it runs.
+  clock_->ScheduleAt(ph, fire, [this, dst_key, frames = std::move(frames)](const SerialPhase& sp) {
     auto it = ports_.find(dst_key);
     if (it == ports_.end()) {
-      stats_.frames_dropped += burst->size();  // port detached in flight
+      stats_.frames_dropped += frames.size();  // port detached in flight
       return;
     }
-    stats_.frames_delivered += burst->size();
-    for (const Frame& f : *burst) {
+    stats_.frames_delivered += frames.size();
+    for (const Frame& f : frames) {
       stats_.bytes_delivered += f.wire_bytes();
     }
-    ++stats_.bursts_delivered;
-    it->second->sink->OnFrameBurst(sp, std::span<const Frame>(burst->data(), burst->size()));
+    if (frames.size() >= 2) {
+      ++stats_.bursts_delivered;
+    }
+    it->second->sink->OnFrames(sp, frames);
   });
-  return clear;
 }
 
 }  // namespace hyperion::net

@@ -138,21 +138,14 @@ class Link {
 };
 
 // Receives frames delivered by the switch. Delivery always happens from a
-// clock callback, so sinks receive the dispatch loop's serial token.
+// clock callback, so sinks receive the dispatch loop's serial token. One
+// delivery carries 1..kMaxBurstFrames frames to this port, arriving as one
+// clock event (the last frame's link-completion time); sinks that can
+// amortize per-delivery work (one RX interrupt per burst) do so per call.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
-  virtual void OnFrame(const SerialPhase& ph, const Frame& frame) = 0;
-
-  // A coalesced delivery: back-to-back frames to this port arriving as one
-  // clock event (the last frame's link-completion time). Sinks that can
-  // amortize per-delivery work (one RX interrupt per burst) override this;
-  // the default preserves per-frame semantics.
-  virtual void OnFrameBurst(const SerialPhase& ph, std::span<const Frame> frames) {
-    for (const Frame& f : frames) {
-      OnFrame(ph, f);
-    }
-  }
+  virtual void OnFrames(const SerialPhase& ph, std::span<const Frame> frames) = 0;
 };
 
 // A switch uplink: receives frames whose destination is not attached to this
@@ -208,24 +201,20 @@ class VirtualSwitch {
   // a clock-event effect, off limits from execute lanes.
   void DeliverFromFabric(const DirectPhase& ph, Frame frame, SimTime at);
 
-  // Queues `frame` for immediate delivery scheduling (serial/commit only).
+  // Routes `frame` for immediate delivery scheduling (serial/commit only).
   // Invalid frames are counted and dropped.
   void Send(const DirectPhase&, Frame frame);
 
-  // Phase-dispatching transmit for code that runs in both regimes (NIC
-  // doorbells): appends to the slice's TxStage under an ExecutePhase, sends
-  // under a direct phase.
-  void Transmit(const Phase& ph, Frame frame);
-
-  // Transmits a batch in order. Staged regime: the batch is appended to the
-  // slice's TxStage (committed as one contiguous run at the barrier). Direct
-  // regime: consecutive frames to the same unicast destination leave as one
-  // burst event; everything else degrades to per-frame Send semantics.
+  // Transmits a batch in order, from code that runs in both regimes (NIC
+  // doorbells). Staged regime: the batch is appended to the slice's TxStage
+  // (committed as one contiguous run at the barrier). Direct regime: routed
+  // now, so consecutive frames to the same unicast destination leave as one
+  // delivery event.
   //
-  // Returns when the last egress link touched by a direct-regime burst
-  // clears (its busy-until), or 0 when unknown (staged, dropped, or no
-  // bursts formed). NICs use this as backpressure: polling faster than the
-  // wire drains only piles frames into the event queue.
+  // Returns when the last egress link touched by a direct-regime run of two
+  // or more frames clears (its busy-until), or 0 when unknown (staged,
+  // dropped, or no such run). NICs use this as backpressure: polling faster
+  // than the wire drains only piles frames into the event queue.
   SimTime TransmitBurst(const Phase& ph, std::vector<Frame> frames);
 
   // Attaches a fault injector; every frame delivery attempt is then subject
@@ -262,26 +251,26 @@ class VirtualSwitch {
   // The executing slice's TxStage, which must be this switch's.
   TxStage& StageOf(const ExecutePhase& ph);
 
-  void SendAt(const DirectPhase& ph, Frame frame, SimTime at);
-  void DeliverTo(const DirectPhase& ph, MacAddr dst_key, PortState& port,
-                 const Frame& frame, SimTime at);
-
-  // Sends a batch with logical send time `at`, grouping consecutive frames
-  // to the same unicast destination into bursts of at most kMaxBurstFrames
-  // (runs of length 1 and broadcast frames keep the exact single-frame
-  // path). Consumes `frames`. Returns the latest egress busy-until among
-  // the bursts formed (0 if none).
-  SimTime SendRunAt(const DirectPhase& ph, std::vector<Frame>& frames, SimTime at);
-  // One same-destination unicast run: per-frame fault consultation and link
-  // serialization, a single delivery event at the last frame's completion.
-  // Returns the egress link's busy-until (0 if the port is unknown).
-  SimTime SendBurstAt(const DirectPhase& ph, std::span<Frame> group, SimTime at);
-  SimTime DeliverBurstTo(const DirectPhase& ph, MacAddr dst_key, PortState& port,
-                         std::span<Frame> group, SimTime at);
-  // Schedules one frame's delivery event at `fire` (port re-looked-up by
-  // address when the event runs; shared by DeliverTo and delayed burst
-  // stragglers).
-  void ScheduleDeliver(const DirectPhase& ph, MacAddr dst_key, Frame frame, SimTime fire);
+  // The one route every frame takes, with logical send time `at`: splits
+  // `frames` into runs of consecutive frames to one unicast destination (at
+  // most kMaxBurstFrames; a broadcast is a run of one), drops oversized
+  // frames, and hands each run to its port, floods it, or egresses it to
+  // the uplink. With `uplink_egress` off (fabric ingress) nothing leaves
+  // through the uplink: the split horizon. Consumes `frames`. Returns the
+  // latest egress busy-until among the delivered runs of >= 2 frames (0 if
+  // none).
+  SimTime Route(const DirectPhase& ph, std::span<Frame> frames, SimTime at, bool uplink_egress);
+  // Delivers one run to one port: fault consultation, duplicate copies and
+  // link serialization per frame. With `coalesce`, undelayed copies share
+  // one delivery event at the last one's completion; otherwise, and for
+  // every delayed copy, each copy is its own event. Returns the port link's
+  // busy-until.
+  SimTime DeliverRun(const DirectPhase& ph, MacAddr dst_key, PortState& port,
+                     std::span<const Frame> run, SimTime at, bool coalesce);
+  // The delivery event: hands `frames` to the port at `fire`, re-looked-up
+  // by address when the event runs.
+  void ScheduleDelivery(const DirectPhase& ph, MacAddr dst_key, std::vector<Frame> frames,
+                        SimTime fire);
 
   SimClock* clock_;
   std::map<MacAddr, std::unique_ptr<PortState>> ports_;

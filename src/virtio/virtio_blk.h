@@ -31,9 +31,8 @@ inline constexpr uint8_t kBlkStatusUnsupported = 2;
 
 class VirtioBlk final : public VirtioDevice {
  public:
-  // `clock` may be invalid for synchronous completion (unit tests). An
-  // owner-tagged ClockRef lets the owning VM cancel in-flight completion
-  // events on destruction.
+  // Completion is scheduled on `clock`. An owner-tagged ClockRef lets the
+  // owning VM cancel in-flight completion events on destruction.
   VirtioBlk(mem::GuestMemory* memory, devices::IrqLine irq, storage::BlockStore* store,
             ClockRef clock, const CostModel& costs = CostModel::Default())
       : VirtioDevice(kVirtioIdBlk, 1, memory, irq),

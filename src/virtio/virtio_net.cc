@@ -39,9 +39,6 @@ Status VirtioNet::DrainRound(const Phase& ph) {
       }
       continue;
     }
-    if (!clock_.valid()) {
-      continue;  // no clock to poll on: drain synchronously until dry
-    }
     if (!tx_polling_) {
       tx_polling_ = true;
       ++poll_gen_;
@@ -132,17 +129,14 @@ Result<VirtioNet::DrainResult> VirtioNet::DrainTx(const Phase& ph, uint32_t budg
   return r;
 }
 
-void VirtioNet::OnFrame(const SerialPhase& ph, const net::Frame& frame) {
-  Enqueue(frame);
-  PumpRx(ph);
-}
-
-void VirtioNet::OnFrameBurst(const SerialPhase& ph, std::span<const net::Frame> frames) {
-  net_stats_.burst_frames += frames.size();
+void VirtioNet::OnFrames(const SerialPhase& ph, std::span<const net::Frame> frames) {
+  if (frames.size() >= 2) {
+    net_stats_.burst_frames += frames.size();
+  }
   for (const net::Frame& f : frames) {
     Enqueue(f);
   }
-  // One pump, one coalesced interrupt for the whole burst.
+  // One pump, one coalesced interrupt for the whole delivery.
   PumpRx(ph);
 }
 
@@ -222,13 +216,8 @@ void VirtioNet::Serialize(ByteWriter& w) const {
 Status VirtioNet::Deserialize(const DirectPhase& ph, ByteReader& r) {
   HYP_RETURN_IF_ERROR(VirtioDevice::Deserialize(ph, r));
   HYP_ASSIGN_OR_RETURN(uint8_t polling, r.ReadU8());
-  // Without a clock there is nothing to re-arm; fall back to kick-driven
-  // drains rather than deadlocking behind a suppressed doorbell.
-  tx_polling_ = polling != 0 && clock_.valid();
+  tx_polling_ = polling != 0;
   ++poll_gen_;  // events scheduled before the restore are stale
-  if (polling != 0 && !tx_polling_) {
-    (void)queue(kTxQueue).SetNoNotify(memory(), false);  // re-arm doorbells
-  }
   if (tx_polling_) {
     // The snapshot caught us mid-poll; re-arm the poll event so the TX ring
     // does not deadlock behind a suppressed doorbell.

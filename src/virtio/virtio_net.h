@@ -46,10 +46,9 @@ class VirtioNet final : public VirtioDevice, public net::FrameSink {
   static constexpr uint16_t kTxQueue = 1;
   static constexpr uint32_t kFrameHeaderBytes = 8;
 
-  // `clock` may be invalid (unit tests): polling then degrades to draining
-  // the TX ring synchronously on each kick.
+  // TX polling and backpressure pacing schedule on `clock`.
   VirtioNet(mem::GuestMemory* memory, devices::IrqLine irq, net::VirtualSwitch* vswitch,
-            net::MacAddr addr, ClockRef clock = ClockRef(), VirtioNetOptions opts = {})
+            net::MacAddr addr, ClockRef clock, VirtioNetOptions opts = {})
       : VirtioDevice(kVirtioIdNet, 2, memory, irq),
         switch_(vswitch),
         addr_(addr),
@@ -60,10 +59,9 @@ class VirtioNet final : public VirtioDevice, public net::FrameSink {
 
   std::string_view name() const override { return "virtio-net"; }
 
-  // net::FrameSink: deliver into posted RX buffers (or queue briefly).
-  void OnFrame(const SerialPhase& ph, const net::Frame& frame) override;
-  // Coalesced delivery: fill RX chains for the whole burst, one interrupt.
-  void OnFrameBurst(const SerialPhase& ph, std::span<const net::Frame> frames) override;
+  // net::FrameSink: deliver into posted RX buffers (or queue briefly),
+  // filling RX chains for the whole delivery under one interrupt.
+  void OnFrames(const SerialPhase& ph, std::span<const net::Frame> frames) override;
 
   void Reset(const DirectPhase& ph) override;
   void Serialize(ByteWriter& w) const override;
@@ -78,7 +76,7 @@ class VirtioNet final : public VirtioDevice, public net::FrameSink {
     uint64_t rx_backlog_hwm = 0;   // high watermark of the host-side backlog
     uint64_t kicks_suppressed = 0;  // poll rounds that found work: saved doorbells
     uint64_t poll_rounds = 0;       // self-rescheduled TX poll events run
-    uint64_t burst_frames = 0;      // RX frames arriving via coalesced bursts
+    uint64_t burst_frames = 0;      // RX frames arriving in deliveries of >= 2
 
     bool operator==(const NetStats&) const = default;
   };

@@ -534,6 +534,54 @@ TEST(SnapshotTest, WarmTranslationsPrimeRestoredClone) {
   EXPECT_EQ((*restored)->vcpu(0).state.instret, vm->vcpu(0).state.instret);
 }
 
+TEST(SnapshotTest, TotalStatsSumsTierTwoAndPersistCounters) {
+  // Vm::TotalStats() sums every VcpuStats counter, the tier-2 and
+  // persisted-translation ones included: a warmed two-vCPU DBT guest is
+  // cloned (persist hits), and the clone runs on (tier-2 passes).
+  Host host;
+  VmConfig cfg = WarmDbtConfig("smp");
+  cfg.num_vcpus = 2;
+  Vm* vm = BootVm(host, cfg, guest::SmpCounterProgram(2'000'000));
+  host.RunFor(5 * kSimTicksPerMs);
+  vm->Pause(TestPhase());
+  auto bytes = snapshot::SaveVm(*vm);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  cfg.name = "smp2";
+  auto clone = snapshot::CloneVm(host, cfg, *bytes);
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  host.RunFor(5 * kSimTicksPerMs);
+
+  for (Vm* v : {vm, *clone}) {
+    cpu::VcpuStats sum;
+    for (uint32_t i = 0; i < v->num_vcpus(); ++i) {
+      const cpu::VcpuStats& s = v->vcpu(i).stats;
+      sum.tier2_promotions += s.tier2_promotions;
+      sum.tier2_executions += s.tier2_executions;
+      sum.deopts += s.deopts;
+      sum.guards_elided += s.guards_elided;
+      sum.csr_writes_elided += s.csr_writes_elided;
+      sum.tier2_ops_folded += s.tier2_ops_folded;
+      sum.tier2_ops_dead += s.tier2_ops_dead;
+      sum.persist_hits += s.persist_hits;
+      sum.persist_misses += s.persist_misses;
+    }
+    cpu::VcpuStats total = v->TotalStats();
+    EXPECT_EQ(total.tier2_promotions, sum.tier2_promotions);
+    EXPECT_EQ(total.tier2_executions, sum.tier2_executions);
+    EXPECT_EQ(total.deopts, sum.deopts);
+    EXPECT_EQ(total.guards_elided, sum.guards_elided);
+    EXPECT_EQ(total.csr_writes_elided, sum.csr_writes_elided);
+    EXPECT_EQ(total.tier2_ops_folded, sum.tier2_ops_folded);
+    EXPECT_EQ(total.tier2_ops_dead, sum.tier2_ops_dead);
+    EXPECT_EQ(total.persist_hits, sum.persist_hits);
+    EXPECT_EQ(total.persist_misses, sum.persist_misses);
+  }
+  // Non-vacuity: the counters the sum used to drop are live here.
+  EXPECT_GT(vm->TotalStats().tier2_promotions, 0u);
+  EXPECT_GT(vm->TotalStats().tier2_executions, 0u);
+  EXPECT_GT((*clone)->TotalStats().persist_hits, 0u);
+}
+
 TEST(SnapshotTest, LegacyV1ImageStillRestores) {
   // Backward compatibility: a v1-format snapshot (no feature-bits word, no
   // translation sections) must still restore on the current code -- the

@@ -188,11 +188,11 @@ TEST(UartTest, SerializeRoundTrip) {
 
 class EmuBlkTest : public ::testing::Test {
  protected:
-  EmuBlkTest()
-      : store_(64), dev_(&store_, IrqLine(&pic_, devices::kBlkIrq), /*clock=*/nullptr) {
+  EmuBlkTest() : store_(64), dev_(&store_, IrqLine(&pic_, devices::kBlkIrq), &clock_) {
     (void)pic_.Write(TestPhase(), 0x04, 4, 1u << devices::kBlkIrq);
   }
 
+  SimClock clock_;
   InterruptController pic_;
   storage::MemBlockStore store_;
   EmulatedBlockDevice dev_;
@@ -205,7 +205,8 @@ TEST_F(EmuBlkTest, WriteCommandPersists) {
   for (uint32_t i = 0; i < 128; ++i) {
     ASSERT_TRUE(dev_.Write(TestPhase(), 0x10, 4, 0x1000 + i).ok());
   }
-  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 2).ok());  // CMD write (synchronous: no clock)
+  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 2).ok());  // CMD write
+  clock_.RunAll(TestPhase());                            // complete it
   EXPECT_EQ(*dev_.Read(0x0C, 4), 2u);        // data_ready, not busy
 
   uint8_t sector[512] = {};
@@ -221,7 +222,8 @@ TEST_F(EmuBlkTest, ReadCommandReturnsData) {
   ASSERT_TRUE(store_.WriteSectors(7, 1, sector).ok());
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x00, 4, 7).ok());
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x04, 4, 1).ok());
-  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 1).ok());  // CMD read (synchronous)
+  ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 1).ok());  // CMD read
+  clock_.RunAll(TestPhase());
   EXPECT_EQ(*dev_.Read(0x10, 4), 0xDDCCBBAAu);
 }
 
@@ -234,6 +236,7 @@ TEST_F(EmuBlkTest, OutOfRangeCommandSetsError) {
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x00, 4, 63).ok());
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x04, 4, 8).ok());  // 63..70 exceeds 64-sector disk
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x08, 4, 1).ok());
+  clock_.RunAll(TestPhase());
   EXPECT_EQ(*dev_.Read(0x0C, 4) & 4u, 4u);  // error bit
 }
 
@@ -254,7 +257,7 @@ TEST_F(EmuBlkTest, SerializeRoundTrip) {
   ASSERT_TRUE(dev_.Write(TestPhase(), 0x04, 4, 3).ok());
   ByteWriter w;
   dev_.Serialize(w);
-  EmulatedBlockDevice restored(&store_, IrqLine(&pic_, devices::kBlkIrq), nullptr);
+  EmulatedBlockDevice restored(&store_, IrqLine(&pic_, devices::kBlkIrq), &clock_);
   ByteReader r(w.buffer());
   ASSERT_TRUE(restored.Deserialize(TestPhase(), r).ok());
   EXPECT_EQ(*restored.Read(0x00, 4), 9u);
@@ -401,7 +404,8 @@ TEST_F(VirtioRingTest, UsedRingPublishes) {
 TEST_F(VirtioRingTest, BlkDeviceExecutesWriteRequest) {
   storage::MemBlockStore disk(64);
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, /*clock=*/nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ASSERT_TRUE(pic.Write(TestPhase(), 0x04, 4, 1u << 8).ok());
 
   // Configure queue 0 via registers.
@@ -425,6 +429,7 @@ TEST_F(VirtioRingTest, BlkDeviceExecutesWriteRequest) {
   PostAvail({0});
 
   ASSERT_TRUE(blk.Write(TestPhase(), 0x1C, 4, 0).ok());  // doorbell
+  clock.RunAll(TestPhase());                          // complete the request
 
   EXPECT_EQ(blk.blk_stats().requests, 1u);
   EXPECT_EQ(blk.blk_stats().errors, 0u);
@@ -446,7 +451,8 @@ TEST_F(VirtioRingTest, BlkReadRequestFillsBuffers) {
   ASSERT_TRUE(disk.WriteSectors(9, 1, sector).ok());
 
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ASSERT_TRUE(blk.Write(TestPhase(), 0x04, 4, 0).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x08, 4, 4).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x0C, 4, 0x10000).ok());
@@ -461,6 +467,7 @@ TEST_F(VirtioRingTest, BlkReadRequestFillsBuffers) {
   WriteDesc(2, 0x32000, 1, virtio::kDescWrite, 0);
   PostAvail({0});
   ASSERT_TRUE(blk.Write(TestPhase(), 0x1C, 4, 0).ok());
+  clock.RunAll(TestPhase());
 
   EXPECT_EQ(*memory_->ReadU8(0x32000), virtio::kBlkStatusOk);
   std::vector<uint8_t> got(512);
@@ -471,7 +478,8 @@ TEST_F(VirtioRingTest, BlkReadRequestFillsBuffers) {
 TEST_F(VirtioRingTest, BlkMalformedRequestGetsErrorStatus) {
   storage::MemBlockStore disk(64);
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ASSERT_TRUE(blk.Write(TestPhase(), 0x04, 4, 0).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x08, 4, 4).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x0C, 4, 0x10000).ok());
@@ -484,6 +492,7 @@ TEST_F(VirtioRingTest, BlkMalformedRequestGetsErrorStatus) {
   WriteDesc(1, 0x32000, 1, virtio::kDescWrite, 0);
   PostAvail({0});
   ASSERT_TRUE(blk.Write(TestPhase(), 0x1C, 4, 0).ok());
+  clock.RunAll(TestPhase());
   EXPECT_EQ(blk.blk_stats().errors, 1u);
   EXPECT_EQ(*memory_->ReadU8(0x32000), virtio::kBlkStatusUnsupported);
 }
@@ -530,7 +539,8 @@ TEST_F(VirtioRingTest, ConsoleRxDeliversIntoPostedBuffers) {
 TEST_F(VirtioRingTest, DeviceStateSerializeRoundTrip) {
   storage::MemBlockStore disk(64);
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ASSERT_TRUE(blk.Write(TestPhase(), 0x04, 4, 0).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x08, 4, 8).ok());
   ASSERT_TRUE(blk.Write(TestPhase(), 0x0C, 4, 0x10000).ok());
@@ -538,7 +548,7 @@ TEST_F(VirtioRingTest, DeviceStateSerializeRoundTrip) {
 
   ByteWriter w;
   blk.Serialize(w);
-  virtio::VirtioBlk restored(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  virtio::VirtioBlk restored(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   ByteReader r(w.buffer());
   ASSERT_TRUE(restored.Deserialize(TestPhase(), r).ok());
   EXPECT_EQ(*restored.Read(0x08, 4), 8u);
@@ -591,7 +601,8 @@ TEST_F(VirtioRingTest, PushUsedWrapsAtSixtyFourK) {
 TEST_F(VirtioRingTest, RegisterValidation) {
   storage::MemBlockStore disk(64);
   InterruptController pic;
-  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, nullptr);
+  SimClock clock;
+  virtio::VirtioBlk blk(memory_.get(), IrqLine(&pic, 8), &disk, &clock);
   EXPECT_EQ(*blk.Read(0x00, 4), virtio::kVirtioIdBlk);
   EXPECT_FALSE(blk.Write(TestPhase(), 0x04, 4, 5).ok());      // queue_sel out of range
   EXPECT_FALSE(blk.Write(TestPhase(), 0x08, 4, 3).ok());      // not a power of two
@@ -608,10 +619,11 @@ TEST_F(VirtioRingTest, RegisterValidation) {
 struct CountingSink final : net::FrameSink {
   std::vector<net::Frame> frames;
   uint64_t bursts = 0;
-  void OnFrame(const SerialPhase&, const net::Frame& f) override { frames.push_back(f); }
-  void OnFrameBurst(const SerialPhase& ph, std::span<const net::Frame> fs) override {
-    ++bursts;
-    net::FrameSink::OnFrameBurst(ph, fs);
+  void OnFrames(const SerialPhase&, std::span<const net::Frame> fs) override {
+    if (fs.size() >= 2) {
+      ++bursts;
+    }
+    frames.insert(frames.end(), fs.begin(), fs.end());
   }
 };
 
@@ -625,10 +637,9 @@ class VirtioNetTest : public VirtioRingTest {
 
   VirtioNetTest() : vswitch_(&clock_) {}
 
-  void Boot(virtio::VirtioNetOptions opts = {}, bool with_clock = true) {
-    net_ = std::make_unique<virtio::VirtioNet>(
-        memory_.get(), IrqLine(&pic_, devices::kNetIrq), &vswitch_, /*addr=*/1,
-        with_clock ? ClockRef(&clock_) : ClockRef(), opts);
+  void Boot(virtio::VirtioNetOptions opts = {}) {
+    net_ = std::make_unique<virtio::VirtioNet>(memory_.get(), IrqLine(&pic_, devices::kNetIrq),
+                                               &vswitch_, /*addr=*/1, &clock_, opts);
     ASSERT_TRUE(vswitch_.Attach(TestPhase(), 1, net_.get()).ok());
     ASSERT_TRUE(vswitch_.Attach(TestPhase(), 2, &peer_).ok());
     ConfigureQueue(kRxQueue, kRxDesc, kRxAvail, kRxUsed);
@@ -690,6 +701,9 @@ class VirtioNetTest : public VirtioRingTest {
     return f;
   }
 
+  // Delivers one frame to the NIC, as the switch does for a lone frame.
+  void DeliverOne(net::Frame f) { net_->OnFrames(TestPhase(), {&f, 1}); }
+
   void SetUsedEvent(uint32_t avail_gpa, uint16_t value) {
     ASSERT_TRUE(memory_->WriteU16(avail_gpa + 4 + 2u * kQ, value).ok());
   }
@@ -732,14 +746,14 @@ TEST_F(VirtioNetTest, LegacyAvailFlagsSuppressWithoutEventIdx) {
   // No features acked: bit0 of avail.flags is the only suppression.
   ASSERT_TRUE(memory_->WriteU16(kRxAvail, 1).ok());
   PostRxBuffer(0);
-  net_->OnFrame(TestPhase(), MakeRxFrame(2, 100));
+  DeliverOne(MakeRxFrame(2, 100));
   EXPECT_EQ(net_->net_stats().rx_frames, 1u);
   EXPECT_EQ(net_->stats().interrupts, 0u);
   EXPECT_EQ(net_->stats().interrupts_suppressed, 1u);
 
   ASSERT_TRUE(memory_->WriteU16(kRxAvail, 0).ok());
   PostRxBuffer(1);
-  net_->OnFrame(TestPhase(), MakeRxFrame(2, 100));
+  DeliverOne(MakeRxFrame(2, 100));
   EXPECT_EQ(net_->stats().interrupts, 1u);
 }
 
@@ -779,12 +793,12 @@ TEST_F(VirtioNetTest, EventIdxSuppressionAcrossUsedIndexWrap) {
   // to end.
   SetUsedEvent(kRxAvail, 0xFFFF);
   PostRxBuffer(2);
-  net_->OnFrame(TestPhase(), MakeRxFrame(2, 64));
+  DeliverOne(MakeRxFrame(2, 64));
   EXPECT_EQ(net_->stats().interrupts, 0u);
   EXPECT_EQ(net_->stats().interrupts_suppressed, 1u);
 
   PostRxBuffer(3);
-  net_->OnFrame(TestPhase(), MakeRxFrame(2, 64));
+  DeliverOne(MakeRxFrame(2, 64));
   EXPECT_EQ(net_->stats().interrupts, 1u);
   EXPECT_EQ(net_->net_stats().rx_frames, 2u);
   EXPECT_EQ(*memory_->ReadU16(kRxUsed + 2), 0u);  // published index wrapped
@@ -849,7 +863,7 @@ TEST_F(VirtioNetTest, BadRxChainReturnedWithoutLosingFrame) {
   // chain 1, and nothing leaks.
   PostRxBuffer(0, 512, /*gpa=*/0x200000);
   PostRxBuffer(1);
-  net_->OnFrame(TestPhase(), MakeRxFrame(2, 100));
+  DeliverOne(MakeRxFrame(2, 100));
 
   EXPECT_EQ(net_->net_stats().rx_chain_errors, 1u);
   EXPECT_EQ(net_->net_stats().rx_frames, 1u);
@@ -868,7 +882,7 @@ TEST_F(VirtioNetTest, RxBacklogCapDropsAndRecordsHighWatermark) {
 
   // No RX buffers posted: frames queue host-side up to the cap.
   for (int i = 0; i < 5; ++i) {
-    net_->OnFrame(TestPhase(), MakeRxFrame(2, 64));
+    DeliverOne(MakeRxFrame(2, 64));
   }
   EXPECT_EQ(net_->net_stats().rx_dropped, 2u);
   EXPECT_EQ(net_->net_stats().rx_backlog_hwm, 3u);
@@ -889,7 +903,7 @@ TEST_F(VirtioNetTest, BurstDeliveryCoalescesRxInterrupt) {
     PostRxBuffer(s);
   }
   net::Frame fs[3] = {MakeRxFrame(2, 64), MakeRxFrame(2, 64), MakeRxFrame(2, 64)};
-  net_->OnFrameBurst(TestPhase(), std::span<const net::Frame>(fs, 3));
+  net_->OnFrames(TestPhase(), std::span<const net::Frame>(fs, 3));
 
   EXPECT_EQ(net_->net_stats().burst_frames, 3u);
   EXPECT_EQ(net_->net_stats().rx_frames, 3u);

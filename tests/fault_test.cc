@@ -282,9 +282,8 @@ TEST(FaultyStoreTest, ByteStoreTornWriteKillsDevice) {
 
 class RecordingSink : public net::FrameSink {
  public:
-  void OnFrame(const SerialPhase& ph, const net::Frame& frame) override {
-    (void)ph;
-    frames.push_back(frame);
+  void OnFrames(const SerialPhase&, std::span<const net::Frame> fs) override {
+    frames.insert(frames.end(), fs.begin(), fs.end());
   }
   std::vector<net::Frame> frames;
 };

@@ -1,6 +1,6 @@
 // MUST NOT COMPILE: coalesced frame delivery from inside an execute slice.
 //
-// FrameSink::OnFrameBurst demands a SerialPhase token: burst delivery runs
+// FrameSink::OnFrames demands a SerialPhase token: frame delivery runs
 // only from the dispatch loop's clock callbacks, where it mutates shared NIC
 // state (RX rings, backlog, interrupt lines) without a lock. Invoking it
 // from a worker lane would race those structures; slice code transmits via
@@ -15,7 +15,7 @@ namespace hyperion {
 
 void Violation(const ExecutePhase& ep, net::FrameSink& sink,
                std::span<const net::Frame> frames) {
-  sink.OnFrameBurst(ep, frames);
+  sink.OnFrames(ep, frames);
 }
 
 }  // namespace hyperion

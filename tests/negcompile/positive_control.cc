@@ -28,7 +28,7 @@ void Control(const SerialPhase& sp, SimClock& clock, net::VirtualSwitch& sw,
   sw.DeliverFromFabric(sp, std::move(fabric_frame), 0);
   pool.DecRefImmediate(sp, f);
   internal::WriteLogText(sp, std::string("direct log line"));
-  sink.OnFrameBurst(sp, frames);
+  sink.OnFrames(sp, frames);
 }
 
 }  // namespace hyperion

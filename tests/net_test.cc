@@ -15,7 +15,9 @@ namespace {
 
 class RecordingSink : public FrameSink {
  public:
-  void OnFrame(const SerialPhase& ph, const Frame& frame) override { (void)ph; frames.push_back(frame); }
+  void OnFrames(const SerialPhase&, std::span<const Frame> fs) override {
+    frames.insert(frames.end(), fs.begin(), fs.end());
+  }
   std::vector<Frame> frames;
 };
 
@@ -190,17 +192,11 @@ TEST(SwitchTest, ManyFramesKeepOrderPerPort) {
 // Burst delivery (TransmitBurst coalescing) and zero-copy payload handoff
 // ---------------------------------------------------------------------------
 
-// Records how frames arrived: per-frame OnFrame vs coalesced OnFrameBurst.
+// Records how frames arrived: how many frames each delivery carried.
 class BurstRecordingSink : public FrameSink {
  public:
-  void OnFrame(const SerialPhase&, const Frame& f) override {
-    frames.push_back(f);
-    burst_sizes.push_back(1);
-  }
-  void OnFrameBurst(const SerialPhase&, std::span<const Frame> fs) override {
-    for (const Frame& f : fs) {
-      frames.push_back(f);
-    }
+  void OnFrames(const SerialPhase&, std::span<const Frame> fs) override {
+    frames.insert(frames.end(), fs.begin(), fs.end());
     burst_sizes.push_back(fs.size());
   }
   std::vector<Frame> frames;

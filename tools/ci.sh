@@ -30,6 +30,9 @@
 #     scenario (4 hosts, churn, drain, injected crash) at 0 and 4 workers —
 #     zero guests lost, every migration reconciled against its
 #     MigrationReport, bit-identical results across worker counts
+#   * sim digests: each hvbench workload at seed 1 must print the sim_digest
+#     recorded in tools/sim_digests.txt, so a change to simulated behaviour
+#     has to update that file visibly
 #
 # Stage numbers are printed by the stage() helper, so inserting a stage never
 # desynchronizes the [N/TOTAL] banners again.
@@ -43,7 +46,7 @@ FAST=0
 [ "${1:-}" = "--fast" ] && FAST=1
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-TOTAL=11
+TOTAL=12
 STAGE=0
 stage() {  # stage <banner text>
   STAGE=$((STAGE + 1))
@@ -195,5 +198,20 @@ print(f"cluster gate: {vms} guests, {lost} lost, {migrations} migrations "
       f"({reconciled} reconciled), determinism {det}")
 sys.exit(0 if ok else 1)
 EOF
+
+stage "sim digests: hvbench workloads match tools/sim_digests.txt"
+# The benchmark's workloads double as a whole-system behaviour oracle: every
+# simulated input is seed-derived, so the digest changes only when simulated
+# behaviour does.
+for workload in fleet compute lifecycle; do
+  out=$(python3 hvbench/run.py --workload "$workload" --seed 1 --seconds 0)
+  got=$(printf '%s\n' "$out" | sed -n 's/^sim_digest //p')
+  want=$(awk -v w="$workload" '$1 == w { print $2 }' tools/sim_digests.txt)
+  if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "sim digest: $workload printed '$got', tools/sim_digests.txt has '$want'"
+    exit 1
+  fi
+  echo "sim digest: $workload $got (matches)"
+done
 
 echo "ci: all stages passed"

@@ -1,35 +1,74 @@
 #include "src/mem/frame_pool.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace hyperion::mem {
 
+namespace {
+
+constexpr size_t kHugePage = size_t{2} << 20;
+
+// Reserves `bytes` of zero-reading anonymous memory aligned to kHugePage,
+// advised for huge pages. Nothing is backed until it is touched.
+uint8_t* ReserveBacking(size_t bytes) {
+  if (bytes == 0) {
+    return nullptr;
+  }
+  // Over-map by one huge page, then trim both ends to the aligned span.
+  size_t span = bytes + kHugePage;
+  void* raw = mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (raw == MAP_FAILED) {
+    std::perror("FramePool: mmap");
+    std::abort();
+  }
+  auto base = reinterpret_cast<uintptr_t>(raw);
+  uintptr_t aligned = (base + kHugePage - 1) & ~(kHugePage - 1);
+  if (aligned > base) {
+    munmap(raw, aligned - base);
+  }
+  munmap(reinterpret_cast<void*>(aligned + bytes), base + span - (aligned + bytes));
+  auto* mem = reinterpret_cast<uint8_t*>(aligned);
+  madvise(mem, bytes, MADV_HUGEPAGE);  // best effort: THP may be off
+  return mem;
+}
+
+}  // namespace
+
 FramePool::FramePool(size_t num_frames)
-    : memory_(num_frames * isa::kPageSize),
+    : memory_(ReserveBacking(num_frames * isa::kPageSize)),
       refcount_(num_frames, 0),
-      netbuf_(num_frames, 0),
-      free_count_(num_frames) {}
+      netbuf_(num_frames, 0) {
+  recycled_.reserve(num_frames);
+}
+
+FramePool::~FramePool() {
+  if (memory_ != nullptr) {
+    munmap(memory_, total_frames() * isa::kPageSize);
+  }
+}
 
 Result<HostFrame> FramePool::AllocateLocked(bool zero) {
-  if (free_count_ == 0) {
+  HostFrame frame;
+  if (!recycled_.empty()) {
+    frame = recycled_.back();
+    recycled_.pop_back();
+    if (zero) {
+      std::memset(memory_ + static_cast<size_t>(frame) * isa::kPageSize, 0, isa::kPageSize);
+    }
+  } else if (high_water_ < refcount_.size()) {
+    frame = static_cast<HostFrame>(high_water_++);  // never touched: reads zero
+  } else {
     return ResourceExhaustedError("host frame pool exhausted");
   }
-  // Next-fit scan; wraps once.
-  size_t n = refcount_.size();
-  for (size_t step = 0; step < n; ++step) {
-    size_t i = (alloc_cursor_ + step) % n;
-    if (refcount_[i] == 0) {
-      alloc_cursor_ = (i + 1) % n;
-      refcount_[i] = 1;
-      --free_count_;
-      if (zero) {
-        std::memset(memory_.data() + i * isa::kPageSize, 0, isa::kPageSize);
-      }
-      return static_cast<HostFrame>(i);
-    }
-  }
-  return InternalError("free_count_ positive but no free frame found");
+  refcount_[frame] = 1;
+  return frame;
 }
 
 Result<HostFrame> FramePool::Allocate() {
@@ -88,7 +127,7 @@ void FramePool::CommitStage(const CommitPhase&, PoolStage& stage) {
 void FramePool::DecRefLocked(HostFrame frame) {
   assert(IsAllocated(frame));
   if (--refcount_[frame] == 0) {
-    ++free_count_;
+    recycled_.push_back(frame);
     if (netbuf_[frame] != 0) {
       netbuf_[frame] = 0;
       --netbuf_count_;
@@ -109,12 +148,12 @@ uint32_t FramePool::RefCount(HostFrame frame) const HYP_NO_THREAD_SAFETY_ANALYSI
 
 uint8_t* FramePool::FrameData(HostFrame frame) {
   assert(IsAllocated(frame));
-  return memory_.data() + static_cast<size_t>(frame) * isa::kPageSize;
+  return memory_ + static_cast<size_t>(frame) * isa::kPageSize;
 }
 
 const uint8_t* FramePool::FrameData(HostFrame frame) const {
   assert(IsAllocated(frame));
-  return memory_.data() + static_cast<size_t>(frame) * isa::kPageSize;
+  return memory_ + static_cast<size_t>(frame) * isa::kPageSize;
 }
 
 }  // namespace hyperion::mem

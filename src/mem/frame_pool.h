@@ -3,6 +3,21 @@
 // Frames are reference-counted so that content-based page sharing (src/ksm)
 // can map one host frame into several guests copy-on-write.
 //
+// Backing: the pool reserves its RAM up front and pays for it only when it
+// is touched, so a host can reserve far more than its guests use (the
+// overcommit story of consolidation). The frames live in one anonymous,
+// private, MAP_NORESERVE mapping, aligned to 2 MiB and advised
+// MADV_HUGEPAGE (best effort), so the first touch of a region faults in a
+// huge page rather than 512 small ones. The kernel hands out untouched
+// pages as zero.
+//
+// Allocation is O(1) and recycle-first: a LIFO stack of frames released at
+// refcount 0 is popped first, and only when it is empty does a high-water
+// mark advance over frames never handed out. Zeroing rule: Allocate()
+// clears a recycled frame and leaves a never-used one alone (it is already
+// zero); AllocateNetBuf() clears neither, since a payload buffer is
+// write-before-read. Allocation fails exactly when free_frames() == 0.
+//
 // Concurrency (DESIGN.md §8): during a round of the staged execution core,
 // worker threads may Allocate (COW break, balloon deflate) and stage DecRefs
 // (COW break, balloon inflate); Allocate/AddRef take the pool mutex, DecRef
@@ -13,10 +28,11 @@
 // ever happens at barriers (KSM scans, snapshot restore) and DecRefs are
 // deferred, every refcount a slice can observe is stable for the whole
 // round — sharing decisions do not depend on worker interleaving. Frame
-// *numbers* handed out by Allocate may vary with interleaving, but frame
-// numbering is invisible to guest-visible state; the one observable caveat
-// is allocation-failure attribution when the pool runs dry mid-round, which
-// is schedule-dependent.
+// *numbers* handed out by Allocate may vary with interleaving (which lane
+// pops the recycle stack first), but frame numbering is invisible to
+// guest-visible state; the one observable caveat is allocation-failure
+// attribution when the pool runs dry mid-round, which is
+// schedule-dependent.
 //
 // Phase discipline (DESIGN.md §9): the immediate-effect entry points
 // (DecRefImmediate, AddRef) demand a direct-phase token that worker lanes
@@ -57,8 +73,10 @@ struct PoolStage {
 
 class FramePool {
  public:
-  // A pool holding `num_frames` 4 KiB frames (all initially free).
+  // A pool holding `num_frames` 4 KiB frames (all initially free), reserved
+  // but not yet backed.
   explicit FramePool(size_t num_frames);
+  ~FramePool();
 
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
@@ -66,7 +84,7 @@ class FramePool {
   // Applies a slice's staged DecRefs, in staging order (round barrier).
   static void CommitStage(const CommitPhase&, PoolStage& stage);
 
-  // Allocates a zeroed frame with refcount 1.
+  // Allocates a zeroed frame with refcount 1 (see the zeroing rule above).
   Result<HostFrame> Allocate();
 
   // Allocates a frame backing a refcounted network payload buffer
@@ -91,8 +109,8 @@ class FramePool {
   // (GuestMemory COW break / balloon paths).
   void DecRef(const Phase& ph, HostFrame frame);
 
-  // Drops one reference in place; the frame returns to the free list at
-  // refcount 0. Serial/commit phases only.
+  // Drops one reference in place; at refcount 0 the frame goes on top of
+  // the recycle stack. Serial/commit phases only.
   void DecRefImmediate(const DirectPhase&, HostFrame frame);
 
   // Adds a reference (page-sharing). Barrier-only: demands a direct token.
@@ -106,7 +124,9 @@ class FramePool {
   const uint8_t* FrameData(HostFrame frame) const;
 
   size_t total_frames() const HYP_NO_THREAD_SAFETY_ANALYSIS { return refcount_.size(); }
-  size_t free_frames() const HYP_NO_THREAD_SAFETY_ANALYSIS { return free_count_; }
+  size_t free_frames() const HYP_NO_THREAD_SAFETY_ANALYSIS {
+    return recycled_.size() + (total_frames() - high_water_);
+  }
   size_t used_frames() const { return total_frames() - free_frames(); }
 
  private:
@@ -129,18 +149,20 @@ class FramePool {
 
   void DecRefLocked(HostFrame frame) HYP_REQUIRES(mu_);
 
-  // Guards refcount_/free_count_/alloc_cursor_ against concurrent Allocate
+  // Guards refcount_/recycled_/high_water_ against concurrent Allocate
   // calls from slices. RefCount reads are deliberately lockless: the only
   // refcounts a slice can reach are those of frames mapped somewhere, and
   // these are round-stable (see the file comment).
   mutable std::mutex mu_;
 
-  std::vector<uint8_t> memory_;
+  uint8_t* memory_ = nullptr;  // the reserved mapping (see the file comment)
   std::vector<uint32_t> refcount_ HYP_GUARDED_BY(mu_);
   std::vector<uint8_t> netbuf_ HYP_GUARDED_BY(mu_);  // frame backs a FrameBuf
   size_t netbuf_count_ HYP_GUARDED_BY(mu_) = 0;
-  size_t free_count_ HYP_GUARDED_BY(mu_);
-  size_t alloc_cursor_ HYP_GUARDED_BY(mu_) = 0;  // next-fit scan position
+  // Frames released at refcount 0, most recent last; capacity for every
+  // frame is reserved up front, so a release never reallocates.
+  std::vector<HostFrame> recycled_ HYP_GUARDED_BY(mu_);
+  size_t high_water_ HYP_GUARDED_BY(mu_) = 0;  // frames >= it were never handed out
 };
 
 }  // namespace hyperion::mem

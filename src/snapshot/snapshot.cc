@@ -185,11 +185,13 @@ Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes) {
   // Restore runs serially between rounds; the token is runtime-checked once.
   ScopedSerialPhase serial;
   if (!incremental) {
-    // Full restore baseline: every page present and zeroed.
+    // Full restore baseline: every page present and zeroed. A page that
+    // already reads zero is left alone, so a fresh target (whose frames
+    // were never touched) is not faulted in just to store zeros.
     for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
       if (!mem.IsPresent(gpn)) {
         HYP_RETURN_IF_ERROR(mem.PopulatePage(gpn));
-      } else {
+      } else if (!mem.PageIsZero(gpn)) {
         std::memset(mem.PageData(gpn), 0, isa::kPageSize);
       }
     }

@@ -378,6 +378,51 @@ TEST(SnapshotTest, CorruptionDetected) {
   EXPECT_EQ(snapshot::LoadVm(*target, *bytes).code(), StatusCode::kDataLoss);
 }
 
+// Digest of guest RAM: presence map + contents of every present page.
+uint32_t RamDigest(Vm& vm) {
+  mem::GuestMemory& mem = vm.memory();
+  uint32_t crc = 0;
+  for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
+    uint8_t present = mem.IsPresent(gpn) ? 1 : 0;
+    crc = Crc32(&present, 1, crc);
+    if (present) {
+      crc = Crc32(mem.PageData(gpn), isa::kPageSize, crc);
+    }
+  }
+  return crc;
+}
+
+// A full restore skips pages that already read zero; every other page,
+// including one that is zero in the image but holds stale bytes in the
+// target, must come out exactly as the source had it.
+TEST(SnapshotTest, FullRestoreOverScribbledRamMatchesSource) {
+  Host host;
+  std::string prog = guest::ComputeProgram(120000);
+  Vm* src = BootVm(host, VmConfig{.name = "src"}, prog);
+  host.RunFor(2 * kSimTicksPerMs);
+  src->Pause(TestPhase());
+  snapshot::SnapshotInfo info;
+  auto bytes = snapshot::SaveVm(*src, {}, &info);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_GT(info.pages_zero, 0u);
+
+  Vm* target = BootVm(host, VmConfig{.name = "target"}, guest::ComputeProgram(10));
+  target->Pause(TestPhase());
+  mem::GuestMemory& tm = target->memory();
+  std::vector<uint8_t> junk(isa::kPageSize, 0xA5);
+  uint32_t scribbled = 0;
+  for (uint32_t gpn = 0; gpn < tm.num_pages(); ++gpn) {
+    if (tm.IsPresent(gpn)) {
+      ASSERT_TRUE(tm.Write(gpn * isa::kPageSize, junk.data(), junk.size()).ok());
+      ++scribbled;
+    }
+  }
+  ASSERT_GT(scribbled, info.pages_data);  // zero-in-image pages were hit too
+
+  ASSERT_TRUE(snapshot::LoadVm(*target, *bytes).ok());
+  EXPECT_EQ(RamDigest(*target), RamDigest(*src));
+}
+
 TEST(SnapshotTest, GeometryMismatchRejected) {
   Host host;
   Vm* vm = BootVm(host, VmConfig{.name = "a"}, guest::ComputeProgram(10));

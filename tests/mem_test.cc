@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "src/mem/frame_pool.h"
 #include "tests/test_phase.h"
 #include "src/mem/guest_memory.h"
@@ -42,13 +48,161 @@ TEST(FramePoolTest, FramesAreZeroedOnAllocate) {
   pool.FrameData(*a)[0] = 0xFF;
   pool.FrameData(*a)[kPageSize - 1] = 0xFF;
   pool.DecRef(TestPhase(), *a);
-  // The same frame comes back (next-fit wraps) and must be clean.
+  // The freed frame comes back first (recycle stack) and must be clean.
   auto b = pool.Allocate();
   auto c = pool.Allocate();
   for (HostFrame f : {*b, *c}) {
     EXPECT_EQ(pool.FrameData(f)[0], 0);
     EXPECT_EQ(pool.FrameData(f)[kPageSize - 1], 0);
   }
+}
+
+TEST(FramePoolTest, FreedFrameIsReusedBeforeNeverUsedOnes) {
+  FramePool pool(8);
+  HostFrame a = *pool.Allocate();
+  HostFrame b = *pool.Allocate();
+  HostFrame c = *pool.Allocate();
+  pool.DecRef(TestPhase(), a);
+  pool.DecRef(TestPhase(), c);
+  // Last freed, first reused; then the older one; only then a fresh frame.
+  EXPECT_EQ(*pool.Allocate(), c);
+  EXPECT_EQ(*pool.Allocate(), a);
+  HostFrame fresh = *pool.Allocate();
+  EXPECT_NE(fresh, a);
+  EXPECT_NE(fresh, b);
+  EXPECT_NE(fresh, c);
+}
+
+TEST(FramePoolTest, NeverUsedFramesReadZero) {
+  // AllocateNetBuf does not clear, so what it hands out is the backing as
+  // first touched.
+  FramePool pool(8);
+  for (size_t i = 0; i < pool.total_frames(); ++i) {
+    auto f = pool.AllocateNetBuf();
+    ASSERT_TRUE(f.ok());
+    const uint8_t* data = pool.FrameData(*f);
+    for (size_t j = 0; j < kPageSize; ++j) {
+      ASSERT_EQ(data[j], 0) << "frame " << *f << " byte " << j;
+    }
+  }
+}
+
+TEST(FramePoolTest, RecycledNetBufFrameIsZeroedForGuestUse) {
+  FramePool pool(4);
+  auto n = pool.AllocateNetBuf();
+  ASSERT_TRUE(n.ok());
+  std::memset(pool.FrameData(*n), 0xCC, kPageSize);  // payload bytes
+  pool.DecRef(TestPhase(), *n);
+  EXPECT_EQ(pool.netbuf_frames(), 0u);
+  auto f = pool.Allocate();
+  ASSERT_TRUE(f.ok());
+  ASSERT_EQ(*f, *n);  // the stale frame is the one handed back
+  const uint8_t* data = pool.FrameData(*f);
+  for (size_t j = 0; j < kPageSize; ++j) {
+    ASSERT_EQ(data[j], 0) << "byte " << j;
+  }
+}
+
+TEST(FramePoolTest, ExhaustionAfterMixedReuseIsExact) {
+  FramePool pool(16);
+  std::vector<HostFrame> live;
+  auto check_counts = [&] {
+    EXPECT_EQ(pool.used_frames(), live.size());
+    EXPECT_EQ(pool.free_frames(), pool.total_frames() - live.size());
+  };
+  for (int i = 0; i < 10; ++i) {
+    live.push_back(*pool.Allocate());
+  }
+  check_counts();
+  for (size_t i : {7u, 2u, 5u, 0u}) {  // free from the middle, out of order
+    pool.DecRef(TestPhase(), live[i]);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  check_counts();
+  for (int i = 0; i < 3; ++i) {
+    live.push_back(*pool.Allocate());
+  }
+  pool.DecRef(TestPhase(), live[1]);
+  live.erase(live.begin() + 1);
+  check_counts();
+  // Drain: exactly free_frames() more allocations succeed, then none.
+  size_t more = pool.free_frames();
+  for (size_t i = 0; i < more; ++i) {
+    auto f = pool.Allocate();
+    ASSERT_TRUE(f.ok()) << i;
+    live.push_back(*f);
+  }
+  EXPECT_EQ(live.size(), pool.total_frames());
+  EXPECT_EQ(pool.free_frames(), 0u);
+  auto r = pool.Allocate();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  std::sort(live.begin(), live.end());
+  EXPECT_EQ(std::adjacent_find(live.begin(), live.end()), live.end());
+  // One release makes exactly one allocation possible again.
+  pool.DecRef(TestPhase(), live.back());
+  EXPECT_TRUE(pool.Allocate().ok());
+  EXPECT_FALSE(pool.Allocate().ok());
+}
+
+TEST(FramePoolTest, ConcurrentAllocateAndReleaseKeepFramesDistinct) {
+  constexpr int kThreads = 4;
+  constexpr int kHeld = 8;
+  constexpr int kIters = 2000;
+  FramePool pool(kThreads * kHeld * 2);
+  const SerialPhase& ph = TestPhase();
+  // owner[f] is the thread holding frame f, or -1: a frame handed to two
+  // live holders at once fails the exchange.
+  std::vector<std::atomic<int>> owner(pool.total_frames());
+  for (auto& o : owner) {
+    o.store(-1);
+  }
+  std::atomic<int> violations{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<HostFrame> held;
+      for (int i = 0; i < kIters; ++i) {
+        if (held.size() < kHeld && (i % 3 != 2 || held.empty())) {
+          auto f = pool.Allocate();
+          if (!f.ok()) {
+            ++violations;
+            continue;
+          }
+          int expected = -1;
+          if (!owner[*f].compare_exchange_strong(expected, t) ||
+              pool.FrameData(*f)[0] != 0) {
+            ++violations;
+          }
+          pool.FrameData(*f)[0] = static_cast<uint8_t>(t + 1);
+          held.push_back(*f);
+        } else {
+          HostFrame f = held.back();
+          held.pop_back();
+          if (pool.FrameData(f)[0] != t + 1) {
+            ++violations;
+          }
+          owner[f].store(-1);
+          pool.DecRefImmediate(ph, f);
+        }
+      }
+      for (HostFrame f : held) {
+        owner[f].store(-1);
+        pool.DecRefImmediate(ph, f);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(pool.used_frames(), 0u);
+  EXPECT_EQ(pool.free_frames(), pool.total_frames());
+  // Every frame is still handed out exactly once before exhaustion.
+  for (size_t i = 0; i < pool.total_frames(); ++i) {
+    ASSERT_TRUE(pool.Allocate().ok());
+  }
+  EXPECT_FALSE(pool.Allocate().ok());
 }
 
 TEST(FramePoolTest, RefCountingKeepsFrameAlive) {

@@ -94,10 +94,11 @@ if [ "$FAST" = "0" ]; then
   # VM teardown concurrent with in-flight events (DestroyVm), the migration +
   # fault-injection paths whose shared state is queried from worker threads,
   # the cluster suites that run a whole fleet on one shared pool, and the
-  # NIC/switch suites that drive the TxStage and FrameBuf release paths.
+  # NIC/switch suites that drive the TxStage and FrameBuf release paths, and
+  # the frame pool, whose recycle stack is shared by concurrent Allocates.
   # HYPERION_WORKERS=4 overrides the serial default so the pool genuinely
   # runs multi-threaded even for configs that leave worker_threads unset.
-  TSAN_FILTER='HostVmTest|SmpTest|FuzzDiffSmpTest|SchedulingTest|StagedExecutionTest|DestroyVmTest|WorkerPoolTest|MigrationTest|MigrateIoTest|MigrateStateTest|MigrateSmpTest|ChaosTest|ChaosSmpTest|FaultPlanTest|InjectorTest|HvdCrashTest|ClusterTest|ClusterStagedTest|ClusterChaosTest|VirtioNetTest|SwitchBurstTest|EmuNetTest'
+  TSAN_FILTER='HostVmTest|SmpTest|FuzzDiffSmpTest|SchedulingTest|StagedExecutionTest|DestroyVmTest|WorkerPoolTest|MigrationTest|MigrateIoTest|MigrateStateTest|MigrateSmpTest|ChaosTest|ChaosSmpTest|FaultPlanTest|InjectorTest|HvdCrashTest|ClusterTest|ClusterStagedTest|ClusterChaosTest|VirtioNetTest|SwitchBurstTest|EmuNetTest|FramePoolTest'
   cmake -B build-tsan -S . -DHYPERION_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS"
   (cd build-tsan && HYPERION_WORKERS=4 ctest -R "$TSAN_FILTER" --output-on-failure -j "$JOBS")

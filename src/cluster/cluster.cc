@@ -397,7 +397,10 @@ void Cluster::RebalanceTick() {
 
 void Cluster::EvacuateFailedHosts() {
   for (auto& member : hosts_) {
-    if (member->failed() && !host_state_[member.get()].evacuated) {
+    HostState& state = host_state_[member.get()];
+    if (!member->failed()) {
+      state.evacuated = false;  // repaired: its next crash is a new one
+    } else if (!state.evacuated) {
       EvacuateHost(member.get());
     }
   }

@@ -149,8 +149,8 @@ class Cluster {
   bool RunUntilQuiescent(SimTime max_time);
 
   // One orchestrator pass: refresh load windows, evacuate failed hosts,
-  // periodic checkpoints, drain moves, hot-host rebalance. Public so tests
-  // can force a pass without waiting out the interval.
+  // drain moves, hot-host rebalance. Public so tests can force a pass
+  // without waiting out the interval.
   void DrsTick();
 
   // Busy fraction of `host` over the last completed DRS window — the load
@@ -163,7 +163,9 @@ class Cluster {
  private:
   struct HostState {
     bool draining = false;
-    bool evacuated = false;  // crash already processed (until MarkRepaired)
+    // Crash already processed; cleared by the first pass that sees the host
+    // repaired, so a later crash evacuates again.
+    bool evacuated = false;
     bool cooling = false;    // hysteresis latch: shedding until < cool_until
     uint64_t window_base = 0;  // sum of busy+steal cycles at window start
     SimTime window_start = 0;

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -16,9 +17,12 @@ namespace hyperion::migrate {
 
 namespace {
 
-uint64_t PageWireBytes(const MigrateOptions& options) {
-  return isa::kPageSize + options.page_meta_bytes;
-}
+constexpr uint32_t kMaxPrecopyRounds = 30;
+// Pre-copy enters stop-and-copy once a round's dirty set is at most this
+// many pages.
+constexpr size_t kStopCopyThresholdPages = 64;
+constexpr uint64_t kPageMetaBytes = 8;  // per-page wire header
+constexpr uint64_t kPageWireBytes = isa::kPageSize + kPageMetaBytes;
 
 // Conservative size of the non-RAM machine state on the wire.
 uint64_t MachineStateBytes(core::Vm& vm) {
@@ -36,7 +40,7 @@ class WireSender {
       : src_(src), options_(options), rep_(rep) {}
 
   // Sends one chunk of `bytes` covering `pages` page transfers. Returns
-  // false when the chunk was lost max_chunk_retries times. The caller
+  // false when the chunk was lost kMaxChunkRetries times. The caller
   // accounts the first attempt; retries account themselves.
   bool SendChunk(uint64_t bytes, uint64_t pages) {
     SimTime backoff = options_.retry_backoff;
@@ -54,7 +58,7 @@ class WireSender {
       if (!lost) {
         return true;
       }
-      if (attempt + 1 >= options_.max_chunk_retries) {
+      if (attempt + 1 >= kMaxChunkRetries) {
         return false;
       }
       ++rep_.retries;
@@ -66,168 +70,144 @@ class WireSender {
     }
   }
 
+  // Streams `pages` of `mem` in chunks of options.chunk_pages and returns
+  // how many were acked, or nullopt once a chunk is lost past the retry
+  // budget. `elide_zero` sends a header-only marker for an all-zero (or
+  // absent) page; a nonzero `timeout` ends the stream at the first chunk
+  // boundary past it, counting a timeout and leaving the rest unsent.
+  std::optional<size_t> SendPages(mem::GuestMemory& mem, const std::vector<uint32_t>& pages,
+                                  bool elide_zero, SimTime timeout) {
+    size_t chunk_pages = std::max<uint32_t>(1, options_.chunk_pages);
+    SimTime start = src_.clock().now();
+    size_t sent = 0;
+    while (sent < pages.size()) {
+      size_t n = std::min(chunk_pages, pages.size() - sent);
+      uint64_t zero_pages = 0;
+      if (elide_zero) {
+        for (size_t k = 0; k < n; ++k) {
+          uint32_t gpn = pages[sent + k];
+          if (!mem.IsPresent(gpn) || mem.PageIsZero(gpn)) {
+            ++zero_pages;
+          }
+        }
+      }
+      uint64_t bytes = (n - zero_pages) * kPageWireBytes + zero_pages * kPageMetaBytes;
+      rep_.pages_sent += n;
+      rep_.bytes_sent += bytes;
+      if (!SendChunk(bytes, n)) {
+        return std::nullopt;
+      }
+      sent += n;
+      if (timeout != 0 && sent < pages.size() && src_.clock().now() - start >= timeout) {
+        ++rep_.timeouts;
+        break;
+      }
+    }
+    return sent;
+  }
+
  private:
   core::Host& src_;
   const MigrateOptions& options_;
   MigrationReport& rep_;
 };
 
-void Publish(MigrationReport* report, const MigrationReport& rep) {
-  if (report != nullptr) {
-    *report = rep;
-  }
-}
+// What the shared routine hands its flavor's steps. The driver runs between
+// rounds on the caller's thread.
+struct Migration {
+  Migration(core::Host& src, const MigrateOptions& options) : wire(src, options, rep) {}
 
-}  // namespace
+  ScopedSerialPhase serial;
+  MigrationReport rep;
+  WireSender wire;
+};
 
-Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
-                                 const MigrateOptions& options, MigrationReport* report) {
+// A flavor's step; an empty one does nothing.
+using Step = std::function<Status(Migration&)>;
+using AdoptStep = std::function<Status(Migration&, core::Vm* dvm)>;
+
+// The one migration routine. Each flavor fills in up to three steps:
+//   live      runs while the guest keeps running (pre-copy's rounds). A
+//             failure here leaves the guest as it was.
+//   blackout  runs once the guest is paused, before the machine state
+//             crosses (pre-copy's stop-and-copy).
+//   adopt     runs once the destination clone is running (post-copy's
+//             demand paging); it adds its own time to total_time.
+// Between blackout and adopt the machine state crosses, the downtime is
+// stamped, and the destination is cloned from the now-consistent source.
+// From the pause on, any failure rolls back: no VM stays on `dst`, and the
+// source resumes if it was running. The report lands in *report either way.
+Result<core::Vm*> Migrate(core::Host& src, core::Vm* vm, core::Host& dst,
+                          const MigrateOptions& options, MigrationReport* report,
+                          const Step& live, const Step& blackout, const AdoptStep& adopt) {
   if (vm->state() != core::VmState::kRunning && vm->state() != core::VmState::kPaused) {
     return FailedPreconditionError("vm is not migratable in its current state");
   }
   bool was_running = vm->state() == core::VmState::kRunning;
-  // The migration driver runs between rounds on the caller's thread.
-  ScopedSerialPhase serial;
-  MigrationReport rep;
+  Migration m(src, options);
   SimTime t0 = src.clock().now();
-  mem::GuestMemory& mem = vm->memory();
-  mem.EnableDirtyLog();
-  WireSender wire(src, options, rep);
-  uint32_t chunk_pages = std::max<uint32_t>(1, options.chunk_pages);
-
-  // The resumable-transfer state: pages the destination copy does not have
-  // yet. A chunk leaves the set only once its transfer is acked, so an
-  // aborted round resends exactly the unacked remainder, never the pages
-  // that already made it.
-  std::vector<uint32_t> pending;
-  for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
-    if (mem.IsPresent(gpn)) {
-      pending.push_back(gpn);
+  auto finish = [&](Result<core::Vm*> result) {
+    if (report != nullptr) {
+      *report = m.rep;
     }
-  }
-
-  // Abort during the iterative phase: the guest never stopped; just turn
-  // off dirty tracking and leave it running.
-  auto abort_rounds = [&](Status st) {
-    mem.DisableDirtyLog();
-    Publish(report, rep);
-    return st;
+    return result;
   };
-
-  for (uint32_t round = 1; round <= options.max_precopy_rounds; ++round) {
-    rep.rounds = round;
-    SimTime round_start = src.clock().now();
-    bool timed_out = false;
-    size_t sent = 0;
-    while (sent < pending.size()) {
-      size_t n = std::min<size_t>(chunk_pages, pending.size() - sent);
-      uint64_t zero_pages = 0;
-      if (options.skip_zero_pages) {
-        for (size_t k = 0; k < n; ++k) {
-          uint32_t gpn = pending[sent + k];
-          if (!mem.IsPresent(gpn) || mem.PageIsZero(gpn)) {
-            ++zero_pages;
-          }
-        }
-      }
-      uint64_t bytes = (n - zero_pages) * PageWireBytes(options) +
-                       zero_pages * options.page_meta_bytes;
-      rep.pages_sent += n;
-      rep.bytes_sent += bytes;
-      if (!wire.SendChunk(bytes, n)) {
-        return abort_rounds(AbortedError(
-            "pre-copy chunk lost " + std::to_string(options.max_chunk_retries) +
-            " times; migration aborted with the source vm untouched"));
-      }
-      sent += n;
-      if (options.round_timeout != 0 && sent < pending.size() &&
-          src.clock().now() - round_start >= options.round_timeout) {
-        ++rep.timeouts;
-        timed_out = true;
-        break;
-      }
-    }
-    pending.erase(pending.begin(), pending.begin() + static_cast<ptrdiff_t>(sent));
-
-    // Next round: the unsent remainder plus everything the guest re-dirtied
-    // while this round was on the wire.
-    Bitmap dirty = mem.HarvestDirty();
-    for (size_t gpn : dirty.SetBits()) {
-      pending.push_back(static_cast<uint32_t>(gpn));
-    }
-    std::sort(pending.begin(), pending.end());
-    pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
-
-    if (vm->state() == core::VmState::kCrashed) {
-      return abort_rounds(AbortedError("source vm crashed mid-migration: " +
-                                       vm->crash_reason().ToString()));
-    }
-    if (!timed_out && pending.size() <= options.stop_copy_threshold_pages) {
-      break;
-    }
-    if (vm->state() != core::VmState::kRunning) {
-      // Guest shut down mid-migration; whatever is left goes in the final copy.
-      break;
+  if (live) {
+    Status st = live(m);
+    if (!st.ok()) {
+      return finish(st);
     }
   }
 
-  // Stop-and-copy: pause, ship the remainder plus machine state. From here
-  // a permanent loss rolls the switchover back: the source resumes.
-  vm->Pause(serial);
+  vm->Pause(m.serial);
   SimTime pause_start = src.clock().now();
-  auto abort_switchover = [&](Status st) {
-    mem.DisableDirtyLog();
+  core::Vm* dvm = nullptr;
+  auto roll_back = [&](Status st) {
+    if (dvm != nullptr) {
+      (void)dst.DestroyVm(dvm);
+    }
     if (was_running) {
-      vm->Resume(serial);
+      vm->Resume(m.serial);
     }
-    Publish(report, rep);
-    return st;
+    return finish(st);
   };
-  size_t sent = 0;
-  while (sent < pending.size()) {
-    size_t n = std::min<size_t>(chunk_pages, pending.size() - sent);
-    uint64_t bytes = n * PageWireBytes(options);
-    rep.pages_sent += n;
-    rep.bytes_sent += bytes;
-    if (!wire.SendChunk(bytes, n)) {
-      return abort_switchover(
-          AbortedError("stop-and-copy chunk lost past the retry budget; "
-                       "source vm resumed"));
+  if (blackout) {
+    Status st = blackout(m);
+    if (!st.ok()) {
+      return roll_back(st);
     }
-    sent += n;
   }
   uint64_t state_bytes = MachineStateBytes(*vm);
-  rep.bytes_sent += state_bytes;
-  if (!wire.SendChunk(state_bytes, 0)) {
-    return abort_switchover(
-        AbortedError("machine-state transfer lost past the retry budget; "
-                     "source vm resumed"));
+  m.rep.bytes_sent += state_bytes;
+  if (!m.wire.SendChunk(state_bytes, 0)) {
+    return roll_back(AbortedError(
+        "machine-state transfer lost past the retry budget; source vm resumed"));
   }
-  rep.downtime = src.clock().now() - pause_start;
-  mem.DisableDirtyLog();
+  m.rep.downtime = src.clock().now() - pause_start;
 
-  // Materialize the destination from the (now consistent) source state. Any
-  // failure from here on also rolls back: no half-VM survives on either side.
   auto image = snapshot::SaveVm(*vm);
   if (!image.ok()) {
-    return abort_switchover(image.status());
+    return roll_back(image.status());
   }
   // Same configuration; the disk is shared storage, so the shared_ptr simply
   // attaches at the destination too.
   auto created = snapshot::CloneVm(dst, vm->config(), *image);
   if (!created.ok()) {
-    return abort_switchover(created.status());
+    return roll_back(created.status());
   }
-  core::Vm* dvm = *created;
-  dvm->Pause(serial);   // align lifecycle state, then resume cleanly
-  dvm->Resume(serial);
-
-  rep.total_time = src.clock().now() - t0;
-  Publish(report, rep);
-  return dvm;
+  dvm = *created;
+  dvm->Pause(m.serial);  // align lifecycle state, then resume cleanly
+  dvm->Resume(m.serial);
+  SimTime switched = src.clock().now() - t0;
+  if (adopt) {
+    Status st = adopt(m, dvm);
+    if (!st.ok()) {
+      return roll_back(st);
+    }
+  }
+  m.rep.total_time += switched;
+  return finish(dvm);
 }
-
-namespace {
 
 // Post-copy machinery living on the destination host: serves demand faults
 // from the paused source VM's memory and pushes the rest in the background.
@@ -237,7 +217,7 @@ namespace {
 class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
  public:
   PostCopyServer(core::Vm* src_vm, core::Vm* dst_vm, core::Host* dst_host,
-                 const MigrateOptions& options, MigrationReport* rep)
+                 const MigrateOptions& options, MigrationReport& rep)
       : src_vm_(src_vm),
         dst_vm_(dst_vm),
         dst_host_(dst_host),
@@ -260,65 +240,75 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
 
   void StartBackgroundPush(const DirectPhase& ph) { PushNextBatch(ph); }
 
-  // Called when the caller abandons the migration: stop touching its report.
-  void DetachReport() {
-    static MigrationReport sink;
-    rep_ = &sink;
-  }
-
  private:
+  // vCPUs stalled on one in-flight page, and when the first of them stalled.
+  struct Stall {
+    SimTime since = 0;
+    std::vector<uint32_t> vcpus;
+  };
+
   // Runs inside the faulting vCPU's slice: everything it schedules stages
   // through the ExecutePhase until the round barrier.
   bool OnFault(const ExecutePhase& ph, uint32_t vcpu, uint32_t gpn) {
-    if (!missing_.count(gpn) && !in_flight_.count(gpn)) {
+    bool on_wire = in_flight_.count(gpn) != 0;
+    if (!on_wire && !missing_.count(gpn)) {
       return false;  // truly absent page (ballooned) — a real guest bug
     }
-    waiters_[gpn].push_back(vcpu);
     SimTime start = ph.vnow();
-    ++rep_->demand_fetches;
-    if (in_flight_.count(gpn)) {
-      // Already on the wire (background batch or an earlier fault); wait.
-      stall_started_[gpn] = std::min(stall_started_.count(gpn) ? stall_started_[gpn] : start,
-                                     start);
-      return true;
+    auto [it, first] = stalls_.try_emplace(gpn, Stall{start, {}});
+    if (!first) {
+      it->second.since = std::min(it->second.since, start);
+    }
+    it->second.vcpus.push_back(vcpu);
+    ++rep_.demand_fetches;
+    if (on_wire) {
+      return true;  // a background batch or an earlier fault carries it; wait
     }
     missing_.erase(gpn);
     in_flight_.insert(gpn);
-    stall_started_[gpn] = start;
-    SendDemandFetch(ph, gpn, options_.retry_backoff);
+    Send(ph, {gpn}, /*push_next=*/false, options_.retry_backoff);
     return true;
   }
 
-  // One demand-fetch attempt; a lost transfer reschedules itself after
-  // `backoff` (doubling up to the cap). The vCPU stays stalled throughout —
-  // exactly the self-healing the chaos harness measures as demand stall.
-  // Dual-regime: the first attempt fires from the faulting slice (staged),
-  // retries fire from serial clock callbacks (direct).
-  void SendDemandFetch(const Phase& ph, uint32_t gpn, SimTime backoff) {
-    rep_->pages_sent += 1;
-    rep_->bytes_sent += PageWireBytes(options_);
+  // Ships `batch` on the link. A lost transfer resends the whole batch after
+  // `backoff` (doubling up to the cap); its pages stay in flight, and any
+  // vCPU waiting on them stays stalled, until a copy lands. A demand fetch is
+  // a batch of one sent from the faulting slice (staged); background batches
+  // and every retry go from serial clock callbacks (direct). `push_next`
+  // chains the next background batch onto delivery.
+  void Send(const Phase& ph, std::vector<uint32_t> batch, bool push_next, SimTime backoff) {
+    uint64_t bytes = batch.size() * kPageWireBytes;
+    rep_.pages_sent += batch.size();
+    rep_.bytes_sent += bytes;
     auto self = weak_from_this();
     link_.TransferFaulty(
-        ph, PageWireBytes(options_),
-        [self, gpn](const SerialPhase& sp) {
-          if (auto s = self.lock()) {
-            s->DeliverPage(sp, gpn);
-          }
-        },
-        [self, gpn, backoff](const SerialPhase& sp) {
+        ph, bytes,
+        [self, batch, push_next](const SerialPhase& sp) {
           auto s = self.lock();
           if (s == nullptr) {
             return;
           }
-          ++s->rep_->retries;
-          s->rep_->pages_resent += 1;
+          for (uint32_t gpn : batch) {
+            s->DeliverPage(sp, gpn);
+          }
+          if (push_next) {
+            s->PushNextBatch(sp);
+          }
+        },
+        [self, batch, push_next, backoff](const SerialPhase& sp) {
+          auto s = self.lock();
+          if (s == nullptr) {
+            return;
+          }
+          ++s->rep_.retries;
+          s->rep_.pages_resent += batch.size();
           SimTime next = std::min(backoff * 2, s->options_.retry_backoff_cap);
-          s->dst_host_->clock().ScheduleAfter(sp, backoff,
-                                              [self, gpn, next](const SerialPhase& sp2) {
-                                                if (auto s2 = self.lock()) {
-                                                  s2->SendDemandFetch(sp2, gpn, next);
-                                                }
-                                              });
+          s->dst_host_->clock().ScheduleAfter(
+              sp, backoff, [self, batch, push_next, next](const SerialPhase& sp2) {
+                if (auto s2 = self.lock()) {
+                  s2->Send(sp2, batch, push_next, next);
+                }
+              });
         });
   }
 
@@ -335,17 +325,13 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
     }
     dst_vm_->InvalidateGpn(gpn);
 
-    auto stall_it = stall_started_.find(gpn);
-    if (stall_it != stall_started_.end()) {
-      rep_->demand_stall_total += dst_host_->clock().now() - stall_it->second;
-      stall_started_.erase(stall_it);
-    }
-    auto waiter_it = waiters_.find(gpn);
-    if (waiter_it != waiters_.end()) {
-      for (uint32_t vcpu : waiter_it->second) {
+    auto stall = stalls_.find(gpn);
+    if (stall != stalls_.end()) {
+      rep_.demand_stall_total += dst_host_->clock().now() - stall->second.since;
+      for (uint32_t vcpu : stall->second.vcpus) {
         dst_host_->WakeVcpu(ph, dst_vm_, vcpu);
       }
-      waiters_.erase(waiter_it);
+      stalls_.erase(stall);
     }
   }
 
@@ -364,41 +350,7 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
       missing_.erase(gpn);
       in_flight_.insert(gpn);
     }
-    PushBatch(ph, std::move(batch), options_.retry_backoff);
-  }
-
-  void PushBatch(const DirectPhase& ph, std::vector<uint32_t> batch, SimTime backoff) {
-    uint64_t bytes = batch.size() * PageWireBytes(options_);
-    rep_->pages_sent += batch.size();
-    rep_->bytes_sent += bytes;
-    auto self = weak_from_this();
-    link_.TransferFaulty(
-        ph, bytes,
-        [self, batch](const SerialPhase& sp) {
-          auto s = self.lock();
-          if (s == nullptr) {
-            return;
-          }
-          for (uint32_t gpn : batch) {
-            s->DeliverPage(sp, gpn);
-          }
-          s->PushNextBatch(sp);
-        },
-        [self, batch, backoff](const SerialPhase& sp) {
-          auto s = self.lock();
-          if (s == nullptr) {
-            return;
-          }
-          ++s->rep_->retries;
-          s->rep_->pages_resent += batch.size();
-          SimTime next = std::min(backoff * 2, s->options_.retry_backoff_cap);
-          s->dst_host_->clock().ScheduleAfter(sp, backoff,
-                                              [self, batch, next](const SerialPhase& sp2) {
-                                                if (auto s2 = self.lock()) {
-                                                  s2->PushBatch(sp2, batch, next);
-                                                }
-                                              });
-        });
+    Send(ph, std::move(batch), /*push_next=*/true, options_.retry_backoff);
   }
 
   core::Vm* src_vm_;
@@ -406,112 +358,125 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
   core::Host* dst_host_;
   MigrateOptions options_;
   net::Link link_;
-  MigrationReport* rep_;
+  MigrationReport& rep_;
 
   std::set<uint32_t> missing_;
   std::set<uint32_t> in_flight_;
-  std::map<uint32_t, std::vector<uint32_t>> waiters_;
-  std::map<uint32_t, SimTime> stall_started_;
+  std::map<uint32_t, Stall> stalls_;
 };
 
 }  // namespace
 
-Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
-                                  const MigrateOptions& options, MigrationReport* report) {
-  if (vm->state() != core::VmState::kRunning && vm->state() != core::VmState::kPaused) {
-    return FailedPreconditionError("vm is not migratable in its current state");
-  }
-  bool was_running = vm->state() == core::VmState::kRunning;
-  ScopedSerialPhase serial;
-  MigrationReport rep;
-  WireSender wire(src, options, rep);
+Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
+                                 const MigrateOptions& options, MigrationReport* report) {
+  mem::GuestMemory& mem = vm->memory();
+  // The resumable-transfer state: pages the destination copy does not have
+  // yet. A chunk leaves the set only once its transfer is acked, so an
+  // aborted round resends exactly the unacked remainder, never the pages
+  // that already made it.
+  std::vector<uint32_t> pending;
 
-  // Switchover: only the machine state crosses before the guest resumes. A
-  // permanent loss here rolls back — the source simply resumes.
-  vm->Pause(serial);
-  SimTime pause_start = src.clock().now();
-  auto abort_switchover = [&](Status st) {
-    if (was_running) {
-      vm->Resume(serial);
-    }
-    Publish(report, rep);
-    return st;
-  };
-  uint64_t state_bytes = MachineStateBytes(*vm);
-  rep.bytes_sent += state_bytes;
-  if (!wire.SendChunk(state_bytes, 0)) {
-    return abort_switchover(
-        AbortedError("post-copy machine-state transfer lost past the retry "
-                     "budget; source vm resumed"));
-  }
-  rep.downtime = src.clock().now() - pause_start;
-
-  auto image = snapshot::SaveVm(*vm);
-  if (!image.ok()) {
-    return abort_switchover(image.status());
-  }
-  // Same configuration; the disk is shared storage, so the shared_ptr simply
-  // attaches at the destination too.
-  auto created = snapshot::CloneVm(dst, vm->config(), *image);
-  if (!created.ok()) {
-    return abort_switchover(created.status());
-  }
-  core::Vm* dvm = *created;
-  // Strip all RAM: pages fault over on demand.
-  for (uint32_t gpn = 0; gpn < dvm->memory().num_pages(); ++gpn) {
-    if (dvm->memory().IsPresent(gpn)) {
-      Status rs = dvm->memory().ReleasePage(serial, gpn);
-      if (!rs.ok()) {
-        (void)dst.DestroyVm(dvm);
-        return abort_switchover(rs);
+  auto rounds = [&](Migration& m) -> Status {
+    mem.EnableDirtyLog();
+    for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
+      if (mem.IsPresent(gpn)) {
+        pending.push_back(gpn);
       }
     }
-  }
-  dvm->virt().FlushAll();
+    Status st = OkStatus();
+    for (uint32_t round = 1; round <= kMaxPrecopyRounds; ++round) {
+      m.rep.rounds = round;
+      std::optional<size_t> sent =
+          m.wire.SendPages(mem, pending, options.skip_zero_pages, options.round_timeout);
+      if (!sent) {
+        st = AbortedError("pre-copy chunk lost " + std::to_string(kMaxChunkRetries) +
+                          " times; migration aborted with the source vm untouched");
+        break;
+      }
+      bool timed_out = *sent < pending.size();
+      pending.erase(pending.begin(), pending.begin() + static_cast<ptrdiff_t>(*sent));
 
-  auto server = std::make_shared<PostCopyServer>(vm, dvm, &dst, options, &rep);
-  dvm->Pause(serial);
-  dvm->Resume(serial);
-  server->StartBackgroundPush(serial);
+      // Next round: the unsent remainder plus everything the guest re-dirtied
+      // while this round was on the wire.
+      Bitmap dirty = mem.HarvestDirty();
+      for (size_t gpn : dirty.SetBits()) {
+        pending.push_back(static_cast<uint32_t>(gpn));
+      }
+      std::sort(pending.begin(), pending.end());
+      pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
 
-  // Rolls the failed switchover back: tear the destination down and hand
-  // the guest back to the source. (The guest may have executed at the
-  // destination; in the simulation the source's RAM is authoritative and
-  // post-switchover destination writes exist only in destination pages, so
-  // resuming the source replays from the switchover point. Chaos tests use
-  // quiescent guests where the two are indistinguishable.)
-  auto abort_postcopy = [&](Status fail) {
-    dvm->SetMissingPageHandler(nullptr);
-    server->DetachReport();
-    server.reset();  // pending wire callbacks hold weak_ptrs; now inert
-    (void)dst.DestroyVm(dvm);
-    if (was_running) {
-      vm->Resume(serial);
+      if (vm->state() == core::VmState::kCrashed) {
+        st = AbortedError("source vm crashed mid-migration: " + vm->crash_reason().ToString());
+        break;
+      }
+      if (!timed_out && pending.size() <= kStopCopyThresholdPages) {
+        break;
+      }
+      if (vm->state() != core::VmState::kRunning) {
+        // Guest shut down mid-migration; whatever is left goes in the final copy.
+        break;
+      }
     }
-    Publish(report, rep);
-    return fail;
+    // Dirty tracking ends with the rounds. On success the guest pauses next,
+    // so nothing the log could still record would be read; on failure the
+    // guest runs on untracked.
+    mem.DisableDirtyLog();
+    return st;
   };
-
-  // Drive the destination until fully resident.
-  SimTime run_start = dst.clock().now();
-  while (!server->Done() && dst.clock().now() - run_start < options.postcopy_run_limit) {
-    dst.RunFor(kSimTicksPerMs);
-    if (dvm->state() == core::VmState::kCrashed) {
-      return abort_postcopy(InternalError("destination vm crashed during post-copy: " +
-                                          dvm->crash_reason().ToString()));
+  // Stop-and-copy ships the remainder whole: no zero-page elision, no
+  // round timeout.
+  auto stop_and_copy = [&](Migration& m) -> Status {
+    if (!m.wire.SendPages(mem, pending, /*elide_zero=*/false, /*timeout=*/0)) {
+      return AbortedError("stop-and-copy chunk lost past the retry budget; source vm resumed");
     }
-  }
-  if (!server->Done()) {
-    ++rep.timeouts;
-    return abort_postcopy(
-        AbortedError("post-copy did not reach residency within the run "
-                     "limit; destination destroyed, source vm resumed"));
-  }
-  dvm->SetMissingPageHandler(nullptr);
+    return OkStatus();
+  };
+  return Migrate(src, vm, dst, options, report, rounds, stop_and_copy, nullptr);
+}
 
-  rep.total_time = rep.downtime + (dst.clock().now() - run_start);
-  Publish(report, rep);
-  return dvm;
+Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
+                                  const MigrateOptions& options, MigrationReport* report) {
+  // Only the machine state crosses before the guest resumes at the
+  // destination; its RAM follows on demand.
+  auto demand_page = [&](Migration& m, core::Vm* dvm) -> Status {
+    for (uint32_t gpn = 0; gpn < dvm->memory().num_pages(); ++gpn) {
+      if (dvm->memory().IsPresent(gpn)) {
+        HYP_RETURN_IF_ERROR(dvm->memory().ReleasePage(m.serial, gpn));
+      }
+    }
+    dvm->virt().FlushAll();
+    auto server = std::make_shared<PostCopyServer>(vm, dvm, &dst, options, m.rep);
+    server->StartBackgroundPush(m.serial);
+
+    // Drive the destination until fully resident. A failure rolls the
+    // switchover back. (The guest may have executed at the destination; in
+    // the simulation the source's RAM is authoritative and post-switchover
+    // destination writes exist only in destination pages, so resuming the
+    // source replays from the switchover point. Chaos tests use quiescent
+    // guests where the two are indistinguishable.)
+    Status st = OkStatus();
+    SimTime run_start = dst.clock().now();
+    while (!server->Done() && dst.clock().now() - run_start < options.postcopy_run_limit) {
+      dst.RunFor(kSimTicksPerMs);
+      if (dvm->state() == core::VmState::kCrashed) {
+        st = InternalError("destination vm crashed during post-copy: " +
+                           dvm->crash_reason().ToString());
+        break;
+      }
+    }
+    if (st.ok() && !server->Done()) {
+      ++m.rep.timeouts;
+      st = AbortedError(
+          "post-copy did not reach residency within the run limit; destination "
+          "destroyed, source vm resumed");
+    }
+    dvm->SetMissingPageHandler(nullptr);
+    if (st.ok()) {
+      m.rep.total_time = dst.clock().now() - run_start;
+    }
+    return st;  // the server dies here; pending wire callbacks hold weak_ptrs
+  };
+  return Migrate(src, vm, dst, options, report, nullptr, nullptr, demand_page);
 }
 
 }  // namespace hyperion::migrate

@@ -14,13 +14,14 @@
 //
 // Fault tolerance: when MigrateOptions.fault carries a FaultInjector, every
 // wire transfer is subject to the plan's loss/outage/latency events. The RAM
-// stream moves in chunks; each chunk is retried with exponential backoff up
-// to max_chunk_retries, and pre-copy's pending set makes the stream
-// resumable — only unacked pages are resent. Both flavors guarantee atomic
-// switchover: a migration that fails at any injected point returns an error
-// with the source VM running (if it was running) and consistent, and no VM
-// left on the destination. Only a successful switchover leaves the source
-// paused for the caller to destroy.
+// stream moves in chunks; on the source side each chunk is sent at most
+// kMaxChunkRetries times with exponential backoff between attempts, and
+// pre-copy's pending set makes the stream resumable — only unacked pages are
+// resent. Post-copy's transfers retry until its run limit. Both flavors share
+// one switchover, so both guarantee it is atomic: a migration that fails at
+// any injected point returns an error with the source VM running (if it was
+// running) and consistent, and no VM left on the destination. Only a
+// successful switchover leaves the source paused for the caller to destroy.
 
 #ifndef SRC_MIGRATE_MIGRATE_H_
 #define SRC_MIGRATE_MIGRATE_H_
@@ -37,12 +38,12 @@ class FaultInjector;
 
 namespace hyperion::migrate {
 
+// Attempts per source-side chunk (pre-copy rounds, stop-and-copy, machine
+// state) before the migration aborts.
+inline constexpr uint32_t kMaxChunkRetries = 6;
+
 struct MigrateOptions {
   net::LinkParams link{1'000'000'000ull, 50 * kSimTicksPerUs};  // 1 Gb/s, 50 us
-  uint32_t max_precopy_rounds = 30;
-  // Enter stop-and-copy when a round's dirty set is at most this many pages.
-  uint32_t stop_copy_threshold_pages = 64;
-  uint32_t page_meta_bytes = 8;  // per-page wire header
   // Pre-copy: scan pages and send a marker instead of 4 KiB for all-zero
   // pages (untouched guest RAM). Disable for the ablation baseline.
   bool skip_zero_pages = true;
@@ -57,8 +58,6 @@ struct MigrateOptions {
   std::string fault_site = "migrate:link";
   // RAM moves in chunks of this many pages; a chunk is the loss/retry unit.
   uint32_t chunk_pages = 128;
-  // Attempts per chunk before the migration aborts (pre-copy/stop-and-copy).
-  uint32_t max_chunk_retries = 6;
   // First retry delay; doubles per attempt up to the cap.
   SimTime retry_backoff = 5 * kSimTicksPerMs;
   SimTime retry_backoff_cap = 500 * kSimTicksPerMs;
@@ -82,21 +81,10 @@ struct MigrationReport {
 
   double DowntimeMs() const { return SimTimeToMs(downtime); }
   double TotalMs() const { return SimTimeToMs(total_time); }
+  // Two reports are equal iff the migrations behaved identically (the chaos
+  // harness's determinism oracle).
+  bool operator==(const MigrationReport&) const = default;
 };
-
-// Field-by-field equality: two reports are equal iff the migrations behaved
-// identically (the chaos harness's determinism oracle).
-inline bool operator==(const MigrationReport& a, const MigrationReport& b) {
-  return a.rounds == b.rounds && a.pages_sent == b.pages_sent &&
-         a.bytes_sent == b.bytes_sent && a.total_time == b.total_time &&
-         a.downtime == b.downtime && a.demand_fetches == b.demand_fetches &&
-         a.demand_stall_total == b.demand_stall_total &&
-         a.retries == b.retries && a.timeouts == b.timeouts &&
-         a.pages_resent == b.pages_resent;
-}
-inline bool operator!=(const MigrationReport& a, const MigrationReport& b) {
-  return !(a == b);
-}
 
 // Migrates `vm` from `src` to `dst` with iterative pre-copy. On success the
 // source VM is left paused (caller destroys it) and the returned pointer is

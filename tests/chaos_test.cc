@@ -211,7 +211,7 @@ TEST(ChaosTest, PreCopyAbortsCleanlyUnderTotalLoss) {
   EXPECT_EQ(vm->state(), VmState::kRunning);
   EXPECT_TRUE(dst.vms().empty());
   // The report records the robustness cost of the doomed attempt.
-  EXPECT_EQ(report.retries, ChaosOptions(nullptr).max_chunk_retries - 1);
+  EXPECT_EQ(report.retries, migrate::kMaxChunkRetries - 1);
   EXPECT_GT(report.pages_resent, 0u);
   // The source is unharmed: it keeps making progress afterwards.
   verify::SetAuditEnabled(true);

@@ -10,7 +10,8 @@
 //  * Placement: admission enforces overcommit headroom; initial placement
 //    and DRS rebalancing act only on barrier-committed load signals.
 //  * Resilience: draining empties a host via live migration, and an injected
-//    host crash respawns every checkpointed victim elsewhere.
+//    host crash respawns every checkpointed victim elsewhere — also a second
+//    crash after the host was repaired.
 
 #include <gtest/gtest.h>
 
@@ -401,6 +402,50 @@ TEST(ClusterTest, UncheckpointedCrashVictimIsCountedLost) {
   EXPECT_EQ(cl.stats().evacuations_respawned, 0u);
   EXPECT_EQ(cl.FindVm("doomed"), nullptr);
   EXPECT_EQ(cl.GuestCount(), 0u);
+}
+
+// Repair re-arms evacuation: a host that rejoins the pool after MarkRepaired
+// and then crashes again must have its new victims respawned, not skipped as
+// a crash the orchestrator already processed.
+TEST(ClusterTest, RepairedHostThatCrashesAgainIsEvacuatedAgain) {
+  ClusterConfig cc;
+  cc.worker_threads = 0;
+  cc.drs.interval = 0;      // ticks happen only where the test calls DrsTick
+  cc.drs.enabled = false;   // no rebalancing: only evacuation moves guests
+  Cluster cl(cc);
+  Host* h0 = cl.AddHost();
+  Host* h1 = cl.AddHost();
+
+  fault::FaultPlan plan;
+  plan.AddHostCrash("h0:host", 2 * kSimTicksPerMs);
+  plan.AddHostCrash("h0:host", 20 * kSimTicksPerMs);
+  fault::FaultInjector inj(plan);
+  h0->SetFaultInjector(&inj, "h0:host");
+
+  std::string prog = guest::ComputeProgram(0);
+  Boot(cl, VmConfig{.name = "first"}, prog, h0);
+  EXPECT_EQ(cl.CheckpointAll(), 1u);
+  cl.RunFor(5 * kSimTicksPerMs);
+  ASSERT_TRUE(h0->failed());
+  cl.DrsTick();
+  EXPECT_EQ(cl.stats().evacuations_respawned, 1u);
+  EXPECT_EQ(cl.HostOf("first"), h1);
+
+  h0->MarkRepaired();
+  cl.DrsTick();  // the orchestrator sees h0 healthy again
+  Boot(cl, VmConfig{.name = "second"}, prog, h0);
+  EXPECT_EQ(cl.CheckpointAll(), 2u);
+  cl.RunFor(20 * kSimTicksPerMs);  // past the second crash
+  ASSERT_TRUE(h0->failed());
+  cl.DrsTick();
+
+  EXPECT_EQ(cl.stats().evacuations_respawned, 2u);
+  EXPECT_EQ(cl.stats().evacuations_lost, 0u);
+  EXPECT_EQ(cl.HostOf("second"), h1);
+  Vm* second = cl.FindVm("second");
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->state(), VmState::kRunning);
+  EXPECT_EQ(cl.GuestCount(), 2u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Migration and snapshot robustness tests beyond the core happy paths:
-// zero-page elision, migration under device I/O, state preservation, and
-// corruption fuzzing of the snapshot decoder.
+// zero-page elision, migration under device I/O, state preservation, exact
+// retry accounting under a fixed loss plan, and corruption fuzzing of the
+// snapshot decoder.
 
 #include <gtest/gtest.h>
 
 #include "src/core/host.h"
+#include "src/fault/fault.h"
 #include "tests/test_phase.h"
 #include "src/guest/programs.h"
 #include "src/migrate/migrate.h"
@@ -272,6 +274,89 @@ TEST(MigrateSmpTest, SnapshotClonesAFourVcpuVmMidShootdown) {
   EXPECT_EQ(vm->memory().ReadU32(progress_addr).value_or(0), want);
   EXPECT_EQ((*clone)->memory().ReadU32(progress_addr).value_or(0), want);
   EXPECT_EQ(SmpRamDigest(*vm), SmpRamDigest(**clone));
+}
+
+// --- Exact retry accounting ------------------------------------------------
+//
+// One fixed loss plan (a named site, a fixed seed and a fixed loss
+// probability) pins every MigrationReport field of one run per flavor. The
+// chaos sweeps only compare a run with its own replay, so a change that
+// shifted what a retry, a resend or a demand fetch costs would pass them;
+// these exact values would not.
+
+constexpr char kLossySite[] = "migrate:lossy";
+
+fault::FaultPlan LossyPlan() {
+  fault::FaultPlan plan;
+  plan.seed = 42;
+  plan.AddTransferLoss(kLossySite, 0.25);
+  return plan;
+}
+
+migrate::MigrateOptions LossyOptions(fault::FaultInjector* inj) {
+  migrate::MigrateOptions options;
+  options.fault = inj;
+  options.fault_site = kLossySite;
+  options.retry_backoff = kSimTicksPerMs;
+  options.retry_backoff_cap = 20 * kSimTicksPerMs;
+  return options;
+}
+
+void ExpectReport(const migrate::MigrationReport& got, const migrate::MigrationReport& want) {
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.pages_sent, want.pages_sent);
+  EXPECT_EQ(got.bytes_sent, want.bytes_sent);
+  EXPECT_EQ(got.total_time, want.total_time);
+  EXPECT_EQ(got.downtime, want.downtime);
+  EXPECT_EQ(got.demand_fetches, want.demand_fetches);
+  EXPECT_EQ(got.demand_stall_total, want.demand_stall_total);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.timeouts, want.timeouts);
+  EXPECT_EQ(got.pages_resent, want.pages_resent);
+  EXPECT_EQ(got, want);  // catches a field added to the report but not above
+}
+
+TEST(MigrateRetryTest, PreCopyReportUnderFixedLossIsExact) {
+  fault::FaultInjector inj(LossyPlan());
+  Host src, dst;
+  Vm* vm = Boot(src, VmConfig{.name = "lossy-pre"}, guest::DirtyRateProgram(64, 2000));
+  src.RunFor(10 * kSimTicksPerMs);
+
+  migrate::MigrationReport report;
+  auto moved = migrate::PreCopyMigrate(src, vm, dst, LossyOptions(&inj), &report);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  // The guest re-dirties its working set faster than the lossy rounds drain
+  // it, so pre-copy runs to its round cap before stopping to copy.
+  ExpectReport(report, {.rounds = 30,
+                        .pages_sent = 3748,
+                        .bytes_sent = 9'893'408,
+                        .total_time = 92'547'264,
+                        .downtime = 2'268'896,
+                        .retries = 9,
+                        .pages_resent = 774});
+}
+
+// The guest keeps rewriting its working set at the destination, so pages
+// fault over on demand while the background pusher drains the rest. Under
+// this plan six demand fetches and six background batches are lost and
+// retried.
+TEST(MigrateRetryTest, PostCopyReportUnderFixedLossIsExact) {
+  fault::FaultInjector inj(LossyPlan());
+  Host src, dst;
+  Vm* vm = Boot(src, VmConfig{.name = "lossy-post"}, guest::DirtyRateProgram(64, 2000));
+  src.RunFor(10 * kSimTicksPerMs);
+
+  migrate::MigrationReport report;
+  auto moved = migrate::PostCopyMigrate(src, vm, dst, LossyOptions(&inj), &report);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  ExpectReport(report, {.pages_sent = 1213,
+                        .bytes_sent = 4'982'504,
+                        .total_time = 49'084'816,
+                        .downtime = 84'816,
+                        .demand_fetches = 10,
+                        .demand_stall_total = 26'145'936,
+                        .retries = 12,
+                        .pages_resent = 189});
 }
 
 // Property: random corruption of a valid snapshot must never crash the

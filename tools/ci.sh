@@ -31,8 +31,10 @@
 #     zero guests lost, every migration reconciled against its
 #     MigrationReport, bit-identical results across worker counts
 #   * sim digests: each hvbench workload at seed 1 must print the sim_digest
-#     recorded in tools/sim_digests.txt, so a change to simulated behaviour
-#     has to update that file visibly
+#     recorded in tools/sim_digests.txt, and the sha256 of the Release
+#     bench_migration output (the F4 tables, simulated time only, F4d being
+#     pre-copy under injected loss) must match its line there, so a change to
+#     simulated behaviour has to update that file visibly
 #
 # Stage numbers are printed by the stage() helper, so inserting a stage never
 # desynchronizes the [N/TOTAL] banners again.
@@ -125,7 +127,7 @@ tools/run_lint.sh build
 
 stage "perf smoke: hot DBT vs interpreter; tier-2 vs tier-1; net data plane"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-perf -j "$JOBS" --target bench_exec bench_net bench_cluster
+cmake --build build-perf -j "$JOBS" --target bench_exec bench_net bench_cluster bench_migration
 # --benchmark_min_time takes a bare seconds value (no "s" suffix). Ratios are
 # computed from per-benchmark medians of 3 repetitions, and the stage retries
 # once on failure, so a single noisy sample on an oversubscribed shared
@@ -200,10 +202,11 @@ print(f"cluster gate: {vms} guests, {lost} lost, {migrations} migrations "
 sys.exit(0 if ok else 1)
 EOF
 
-stage "sim digests: hvbench workloads match tools/sim_digests.txt"
+stage "sim digests: hvbench workloads and bench_migration match tools/sim_digests.txt"
 # The benchmark's workloads double as a whole-system behaviour oracle: every
 # simulated input is seed-derived, so the digest changes only when simulated
-# behaviour does.
+# behaviour does. bench_migration prints simulated time only, so its whole
+# output is pinned the same way.
 for workload in fleet compute lifecycle; do
   out=$(python3 hvbench/run.py --workload "$workload" --seed 1 --seconds 0)
   got=$(printf '%s\n' "$out" | sed -n 's/^sim_digest //p')
@@ -214,5 +217,12 @@ for workload in fleet compute lifecycle; do
   fi
   echo "sim digest: $workload $got (matches)"
 done
+got=$(build-perf/bench/bench_migration | sha256sum | cut -d' ' -f1)
+want=$(awk '$1 == "bench_migration" { print $2 }' tools/sim_digests.txt)
+if [ -z "$want" ] || [ "$got" != "$want" ]; then
+  echo "sim digest: bench_migration output hashes to '$got', tools/sim_digests.txt has '$want'"
+  exit 1
+fi
+echo "sim digest: bench_migration $got (matches)"
 
 echo "ci: all stages passed"

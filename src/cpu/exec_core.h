@@ -234,14 +234,9 @@ class ExecCore {
       return false;
     }
     if (FastTranslations::Entry* fe = FastLookup(va, mmu::Access::kStore)) {
-      // The fast path must keep every side channel of a slow store: dirty
-      // logging for migration and SMC invalidation for the DBT engine.
+      // The fast path keeps every side channel of a slow store.
       std::memcpy(fe->data + isa::VaPageOffset(va), &value, size);
-      if (ctx_.memory->MarkDirty(fe->gpn)) {
-        Charge(ctx_.costs->dirty_log_first_write);
-        ++ctx_.stats.dirty_first_writes;
-      }
-      engine_->InvalidateCodePage(fe->gpn);
+      AfterStore(fe->gpn);
       return true;
     }
     // COW breaking may require one retry after the private copy is made.
@@ -264,11 +259,7 @@ class ExecCore {
       uint32_t gpn = isa::PageNumber(t.gpa);
       uint8_t* page = ctx_.memory->pool().FrameData(t.frame);
       std::memcpy(page + isa::VaPageOffset(t.gpa), &value, size);
-      if (ctx_.memory->MarkDirty(gpn)) {
-        Charge(ctx_.costs->dirty_log_first_write);
-        ++ctx_.stats.dirty_first_writes;
-      }
-      engine_->InvalidateCodePage(gpn);
+      AfterStore(gpn);
       return true;
     }
     ExitError(InternalError("store did not settle after COW retries"));
@@ -381,6 +372,17 @@ class ExecCore {
   }
 
  private:
+  // The side channels of every guest store to RAM page `gpn`: the dirty log
+  // (charging the write-protect fault of a page's first write since a
+  // harvest) and SMC invalidation for the DBT engine.
+  void AfterStore(uint32_t gpn) {
+    if (ctx_.memory->MarkDirty(gpn)) {
+      Charge(ctx_.costs->dirty_log_first_write);
+      ++ctx_.stats.dirty_first_writes;
+    }
+    engine_->InvalidateCodePage(gpn);
+  }
+
   uint64_t TrapDeliveryCost() const {
     // Under trap-and-emulate the VMM intercepts the trap and re-vectors it
     // into the guest's virtual trap state; with hardware assist delivery is
@@ -819,11 +821,7 @@ class ExecCore {
       std::memcpy(&old, page + isa::VaPageOffset(t.gpa), 4);
       uint32_t next = is_add ? old + s.ReadReg(in.rs2) : s.ReadReg(in.rs2);
       std::memcpy(page + isa::VaPageOffset(t.gpa), &next, 4);
-      if (ctx_.memory->MarkDirty(gpn)) {
-        Charge(ctx_.costs->dirty_log_first_write);
-        ++ctx_.stats.dirty_first_writes;
-      }
-      engine_->InvalidateCodePage(gpn);
+      AfterStore(gpn);
       FastFill(va, t);
       s.WriteReg(in.rd, old);
       s.pc += 4;

@@ -1,5 +1,6 @@
 #include "src/mem/guest_memory.h"
 
+#include <cassert>
 #include <cstring>
 
 namespace hyperion::mem {
@@ -27,12 +28,12 @@ Result<std::unique_ptr<GuestMemory>> GuestMemory::Create(FramePool* pool, uint32
 
 GuestMemory::GuestMemory(FramePool* pool, std::vector<HostFrame> pages)
     : pool_(pool), pages_(std::move(pages)) {
-  dirty_.Resize(pages_.size());
   shared_.Resize(pages_.size());
   write_protected_.Resize(pages_.size());
 }
 
 GuestMemory::~GuestMemory() {
+  assert(cursors_.size() == (chain_ ? 1u : 0u) && "a DirtyCursor outlives its memory");
   // Teardown is serial by construction (between rounds).
   ScopedSerialPhase ph;
   for (HostFrame f : pages_) {
@@ -56,6 +57,7 @@ Status GuestMemory::ReleasePage(const Phase& ph, uint32_t gpn) {
   pool_->DecRef(ph, pages_[gpn]);
   pages_[gpn] = kInvalidFrame;
   shared_.Clear(gpn);
+  MarkDirty(gpn);
   NotifyInvalidate(gpn);
   return OkStatus();
 }
@@ -68,6 +70,7 @@ Status GuestMemory::PopulatePage(uint32_t gpn) {
     return FailedPreconditionError("page already present");
   }
   HYP_ASSIGN_OR_RETURN(pages_[gpn], pool_->Allocate());
+  MarkDirty(gpn);
   NotifyInvalidate(gpn);
   return OkStatus();
 }
@@ -193,26 +196,34 @@ Status GuestMemory::WriteU8(uint32_t gpa, uint8_t v) { return Write(gpa, &v, siz
 Status GuestMemory::WriteU16(uint32_t gpa, uint16_t v) { return Write(gpa, &v, sizeof(v)); }
 Status GuestMemory::WriteU32(uint32_t gpa, uint32_t v) { return Write(gpa, &v, sizeof(v)); }
 
-void GuestMemory::EnableDirtyLog() {
-  dirty_log_enabled_ = true;
-  dirty_.ClearAll();
+DirtyCursor::DirtyCursor(GuestMemory& mem) : mem_(mem), dirty_(mem.num_pages()) {
+  ScopedSerialPhase registering;  // the cursor list changes only between rounds
+  mem_.cursors_.push_back(this);
 }
 
-void GuestMemory::DisableDirtyLog() {
-  dirty_log_enabled_ = false;
-  dirty_.ClearAll();
+DirtyCursor::~DirtyCursor() {
+  ScopedSerialPhase unregistering;
+  std::erase(mem_.cursors_, this);
 }
 
-bool GuestMemory::MarkDirty(uint32_t gpn) {
-  if (dirty_log_enabled_ && gpn < dirty_.size()) {
-    bool newly = !dirty_.Test(gpn);
-    dirty_.Set(gpn);
-    return newly;
+bool GuestMemory::MarkCursors(uint32_t gpn) {
+  if (gpn >= pages_.size()) {
+    return false;
   }
-  return false;
+  bool first = false;
+  for (DirtyCursor* c : cursors_) {
+    first |= !c->dirty_.Test(gpn);
+    c->dirty_.Set(gpn);
+  }
+  return first;
 }
 
-Bitmap GuestMemory::HarvestDirty() { return dirty_.ExchangeClear(); }
+Result<Bitmap> GuestMemory::HarvestDirty() {
+  if (!chain_) {
+    return FailedPreconditionError("no dirty-log chain started (EnableDirtyLog)");
+  }
+  return chain_->Harvest();
+}
 
 bool GuestMemory::IsShared(uint32_t gpn) const {
   return gpn < shared_.size() && shared_.Test(gpn);

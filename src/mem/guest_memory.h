@@ -2,7 +2,8 @@
 //
 // GuestMemory maps guest page numbers to host frames from the shared
 // FramePool. It provides bounds-checked byte access (used by device DMA,
-// snapshotting and migration), dirty-page logging (pre-copy migration),
+// snapshotting and migration), a dirty log with any number of independent
+// consumers (DirtyCursor: pre-copy rounds, the incremental-snapshot chain),
 // page-presence tracking (ballooning, post-copy demand paging) and per-page
 // share/write-protect flags (KSM copy-on-write and shadow-paging traps).
 
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/mem/frame_pool.h"
@@ -20,6 +22,32 @@
 #include "src/util/status.h"
 
 namespace hyperion::mem {
+
+class GuestMemory;
+
+// One consumer of a GuestMemory's dirty log. Registers on construction with
+// an empty set, collects every page written (or whose presence changed)
+// from then on, and unregisters on destruction. Harvest() takes only this
+// cursor's pages, so no consumer can steal another's. Cursors come and go
+// serially, never inside an execute lane; stores mark them from the VM's
+// one lane, so the list is stable while anything reads it.
+class DirtyCursor {
+ public:
+  explicit DirtyCursor(GuestMemory& mem);
+  ~DirtyCursor();
+
+  DirtyCursor(const DirtyCursor&) = delete;
+  DirtyCursor& operator=(const DirtyCursor&) = delete;
+
+  // Pages dirtied since construction or the previous harvest; clears them.
+  Bitmap Harvest() { return dirty_.ExchangeClear(); }
+
+ private:
+  friend class GuestMemory;
+
+  GuestMemory& mem_;
+  Bitmap dirty_;
+};
 
 class GuestMemory {
  public:
@@ -50,6 +78,8 @@ class GuestMemory {
   // Releases the frame backing `gpn` (balloon inflate / migration source).
   // Runs in both regimes (hypercall from a slice; migration serially), so it
   // takes `const Phase&` and the pool decref dispatches on it.
+  // Release and populate both mark `gpn` in every live cursor: a presence
+  // change is a change the snapshot chain must carry.
   Status ReleasePage(const Phase& ph, uint32_t gpn);
 
   // Installs a fresh zeroed frame at `gpn` (balloon deflate).
@@ -83,18 +113,24 @@ class GuestMemory {
   Status WriteU16(uint32_t gpa, uint16_t v);
   Status WriteU32(uint32_t gpa, uint32_t v);
 
-  // --- Dirty logging (pre-copy migration, incremental snapshots) -----------
+  // --- Dirty logging -------------------------------------------------------
+  //
+  // Every consumer holds its own DirtyCursor and harvests its own set:
+  // pre-copy scopes one to its rounds. The incremental-snapshot chain is
+  // the memory's own cursor, driven by the two calls below.
 
-  void EnableDirtyLog();
-  void DisableDirtyLog();
-  bool dirty_log_enabled() const { return dirty_log_enabled_; }
-  // Records a write to `gpn`. Returns true when this is the first write since
-  // the last harvest while logging is enabled (the caller charges the
-  // write-protect-fault cost real dirty logging would incur).
-  bool MarkDirty(uint32_t gpn);
-  // Returns the dirty set accumulated since the last harvest and clears it.
-  Bitmap HarvestDirty();
-  size_t DirtyCount() const { return dirty_.Count(); }
+  // Starts the snapshot chain, or restarts it empty.
+  void EnableDirtyLog() { chain_.emplace(*this); }
+  // The chain's pages dirtied since it started or was last harvested, and
+  // clears them. FailedPrecondition when no chain was started.
+  Result<Bitmap> HarvestDirty();
+
+  // Records a change to `gpn` in every live cursor. Returns true when some
+  // cursor had not seen the page since its last harvest — the first write
+  // since the most recent harvest by any consumer, for which the caller
+  // charges the write-protect fault real dirty logging would incur. False
+  // with no cursor live.
+  bool MarkDirty(uint32_t gpn) { return !cursors_.empty() && MarkCursors(gpn); }
 
   // --- Per-page flags -------------------------------------------------------
 
@@ -125,7 +161,10 @@ class GuestMemory {
  private:
   GuestMemory(FramePool* pool, std::vector<HostFrame> pages);
 
+  friend class DirtyCursor;
+
   Status CheckRange(uint32_t gpa, size_t size) const;
+  bool MarkCursors(uint32_t gpn);
   void NotifyInvalidate(uint32_t gpn) {
     if (invalidate_hook_) {
       invalidate_hook_(gpn);
@@ -136,10 +175,10 @@ class GuestMemory {
   const Phase* effect_phase_ = nullptr;  // see SetEffectPhase
   FramePool* pool_;
   std::vector<HostFrame> pages_;  // gpn -> host frame (or kInvalidFrame)
-  Bitmap dirty_;
   Bitmap shared_;
   Bitmap write_protected_;
-  bool dirty_log_enabled_ = false;
+  std::vector<DirtyCursor*> cursors_;  // every live cursor, the chain's too
+  std::optional<DirtyCursor> chain_;   // declared after cursors_: unregisters first
 };
 
 }  // namespace hyperion::mem

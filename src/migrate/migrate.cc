@@ -377,37 +377,36 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
   std::vector<uint32_t> pending;
 
   auto rounds = [&](Migration& m) -> Status {
-    mem.EnableDirtyLog();
+    // The rounds' own dirty set: it starts empty here and unregisters when
+    // the rounds end, whatever other consumers the log has.
+    mem::DirtyCursor dirtied(mem);
     for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
       if (mem.IsPresent(gpn)) {
         pending.push_back(gpn);
       }
     }
-    Status st = OkStatus();
     for (uint32_t round = 1; round <= kMaxPrecopyRounds; ++round) {
       m.rep.rounds = round;
       std::optional<size_t> sent =
           m.wire.SendPages(mem, pending, options.skip_zero_pages, options.round_timeout);
       if (!sent) {
-        st = AbortedError("pre-copy chunk lost " + std::to_string(kMaxChunkRetries) +
-                          " times; migration aborted with the source vm untouched");
-        break;
+        return AbortedError("pre-copy chunk lost " + std::to_string(kMaxChunkRetries) +
+                            " times; migration aborted with the source vm untouched");
       }
       bool timed_out = *sent < pending.size();
       pending.erase(pending.begin(), pending.begin() + static_cast<ptrdiff_t>(*sent));
 
       // Next round: the unsent remainder plus everything the guest re-dirtied
       // while this round was on the wire.
-      Bitmap dirty = mem.HarvestDirty();
-      for (size_t gpn : dirty.SetBits()) {
+      for (size_t gpn : dirtied.Harvest().SetBits()) {
         pending.push_back(static_cast<uint32_t>(gpn));
       }
       std::sort(pending.begin(), pending.end());
       pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
 
       if (vm->state() == core::VmState::kCrashed) {
-        st = AbortedError("source vm crashed mid-migration: " + vm->crash_reason().ToString());
-        break;
+        return AbortedError("source vm crashed mid-migration: " +
+                            vm->crash_reason().ToString());
       }
       if (!timed_out && pending.size() <= kStopCopyThresholdPages) {
         break;
@@ -417,11 +416,7 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
         break;
       }
     }
-    // Dirty tracking ends with the rounds. On success the guest pauses next,
-    // so nothing the log could still record would be read; on failure the
-    // guest runs on untracked.
-    mem.DisableDirtyLog();
-    return st;
+    return OkStatus();
   };
   // Stop-and-copy ships the remainder whole: no zero-page elision, no
   // round timeout.

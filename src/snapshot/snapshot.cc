@@ -1,6 +1,7 @@
 #include "src/snapshot/snapshot.h"
 
 #include <cstring>
+#include <numeric>
 
 #include "src/util/byte_stream.h"
 #include "src/util/crc32.h"
@@ -24,9 +25,10 @@ constexpr uint8_t kPageAbsent = 2;
 
 constexpr uint8_t kFlagIncremental = 1;
 
-}  // namespace
-
-Result<std::vector<uint8_t>> SaveVm(core::Vm& vm, SaveOptions options, SnapshotInfo* info) {
+// Encodes `vm` with a page section of exactly `pages`. SaveVm picks the
+// pages; ForkVm passes none to carry the machine state alone.
+std::vector<uint8_t> Encode(core::Vm& vm, SaveOptions options, const std::vector<uint32_t>& pages,
+                            SnapshotInfo* info) {
   ByteWriter w;
   w.WriteU32(kMagic);
   w.WriteU32(kVersion);
@@ -62,19 +64,6 @@ Result<std::vector<uint8_t>> SaveVm(core::Vm& vm, SaveOptions options, SnapshotI
   // Page section.
   SnapshotInfo local_info;
   mem::GuestMemory& mem = vm.memory();
-  std::vector<uint32_t> pages;
-  if (options.incremental) {
-    Bitmap dirty = mem.HarvestDirty();
-    for (size_t gpn : dirty.SetBits()) {
-      pages.push_back(static_cast<uint32_t>(gpn));
-    }
-  } else {
-    pages.reserve(mem.num_pages());
-    for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
-      pages.push_back(gpn);
-    }
-  }
-
   size_t count_at = w.size();
   w.WriteU32(0);  // patched below with the emitted entry count
   uint32_t emitted = 0;
@@ -132,6 +121,23 @@ Result<std::vector<uint8_t>> SaveVm(core::Vm& vm, SaveOptions options, SnapshotI
     *info = local_info;
   }
   return w.TakeBuffer();
+}
+
+}  // namespace
+
+Result<std::vector<uint8_t>> SaveVm(core::Vm& vm, SaveOptions options, SnapshotInfo* info) {
+  mem::GuestMemory& mem = vm.memory();
+  std::vector<uint32_t> pages;
+  if (options.incremental) {
+    HYP_ASSIGN_OR_RETURN(Bitmap dirty, mem.HarvestDirty());
+    for (size_t gpn : dirty.SetBits()) {
+      pages.push_back(static_cast<uint32_t>(gpn));
+    }
+  } else {
+    pages.resize(mem.num_pages());
+    std::iota(pages.begin(), pages.end(), 0u);
+  }
+  return Encode(vm, options, pages, info);
 }
 
 Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes) {
@@ -298,22 +304,14 @@ Result<core::Vm*> ForkVm(core::Host& host, core::VmConfig config, core::Vm& pare
     return st;
   };
 
-  // Non-RAM machine state transfers through a RAM-less snapshot: serialize
-  // the parent with an empty incremental page set (the dirty log is off, so
-  // an incremental save carries zero pages), which copies CPU, device and
-  // console state only.
-  parent.memory().DisableDirtyLog();
-  SaveOptions opts;
-  opts.incremental = true;
-  // Translations cannot ride the state image: the child's RAM is not shared
+  // Non-RAM machine state transfers through a RAM-less image: an
+  // incremental encoding with no pages patches CPU, device and console
+  // state only. Translations cannot ride it: the child's RAM is not shared
   // yet, so revalidation would reject every unit. They install below, after
   // the COW remap, straight from the parent's engines.
-  opts.translations = false;
-  auto state_image = SaveVm(parent, opts);
-  if (!state_image.ok()) {
-    return fail(state_image.status());
-  }
-  if (Status st = LoadVm(*child, *state_image); !st.ok()) {
+  std::vector<uint8_t> state_image =
+      Encode(parent, {.incremental = true, .translations = false}, {}, nullptr);
+  if (Status st = LoadVm(*child, state_image); !st.ok()) {
     return fail(st);
   }
 

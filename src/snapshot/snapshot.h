@@ -17,8 +17,11 @@
 namespace hyperion::snapshot {
 
 struct SaveOptions {
-  // Capture only pages dirtied since the last dirty-log harvest. The restore
-  // target must already hold the base state.
+  // Capture only the pages the VM's snapshot chain recorded since it was
+  // started (GuestMemory::EnableDirtyLog) or last harvested, and harvest
+  // them. Other dirty-log consumers (pre-copy rounds, a fork) never touch
+  // the chain. Fails with FailedPrecondition when no chain was started. The
+  // restore target must already hold the base state.
   bool incremental = false;
   // Capture each vCPU engine's validated translation cache so a restored or
   // cloned VM starts with pre-warmed code caches (zero cold translates on
@@ -54,7 +57,8 @@ Result<core::Vm*> CloneVm(core::Host& host, core::VmConfig config,
 // zero page copies up front. Writes on either side privatize the touched
 // page through the regular COW-break machinery. The parent must be paused
 // for the fork instant; config must match the parent's geometry and device
-// complement (same RAM size, vCPUs, device models).
+// complement (same RAM size, vCPUs, device models). The parent's dirty log
+// is left alone, so a snapshot chain on the parent stays whole.
 Result<core::Vm*> ForkVm(core::Host& host, core::VmConfig config, core::Vm& parent);
 
 }  // namespace hyperion::snapshot

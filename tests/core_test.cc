@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "src/balloon/balloon.h"
+#include "src/fault/fault.h"
 #include "tests/test_phase.h"
 #include "src/core/host.h"
 #include "src/guest/programs.h"
@@ -910,6 +911,105 @@ TEST(ForkTest, ManyForksShareUntilTouched) {
   for (Vm* c : children) {
     EXPECT_GT(ReadProgress(c, prog), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Dirty log: consumers beside a snapshot chain must not disturb it
+// ---------------------------------------------------------------------------
+
+// Pauses `vm`, saves it in full, starts its incremental-snapshot chain and
+// resumes it. Returns the full image.
+std::vector<uint8_t> StartChain(Vm& vm) {
+  vm.Pause(TestPhase());
+  auto full = snapshot::SaveVm(vm);
+  EXPECT_TRUE(full.ok()) << full.status().ToString();
+  vm.memory().EnableDirtyLog();
+  vm.Resume(TestPhase());
+  return full.ok() ? *full : std::vector<uint8_t>{};
+}
+
+// Pauses `vm`, saves the chain's increment, and expects the full image plus
+// that increment to restore `vm`'s RAM exactly (presence and contents).
+void ExpectChainRestores(Host& host, Vm& vm, const std::vector<uint8_t>& full) {
+  vm.Pause(TestPhase());
+  snapshot::SaveOptions inc_opts;
+  inc_opts.incremental = true;
+  auto inc = snapshot::SaveVm(vm, inc_opts);
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  auto restored = snapshot::CloneVm(host, VmConfig{.name = "restored"}, full);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE(snapshot::LoadVm(**restored, *inc).ok());
+  EXPECT_EQ(RamDigest(**restored), RamDigest(vm));
+}
+
+TEST(DirtyLogTest, IncrementalSaveNeedsAStartedChain) {
+  Host host;
+  Vm* vm = BootVm(host, VmConfig{.name = "nochain"}, guest::ComputeProgram(10));
+  vm->Pause(TestPhase());
+  snapshot::SaveOptions inc_opts;
+  inc_opts.incremental = true;
+  EXPECT_EQ(snapshot::SaveVm(*vm, inc_opts).status().code(), StatusCode::kFailedPrecondition);
+  vm->memory().EnableDirtyLog();
+  EXPECT_TRUE(snapshot::SaveVm(*vm, inc_opts).ok());
+}
+
+TEST(DirtyLogTest, ForkLeavesTheParentChainIntact) {
+  Host host;
+  Vm* parent = BootVm(host, VmConfig{.name = "parent"}, guest::DirtyRateProgram(32, 2000));
+  host.RunFor(5 * kSimTicksPerMs);
+  std::vector<uint8_t> full = StartChain(*parent);
+  host.RunFor(5 * kSimTicksPerMs);
+
+  parent->Pause(TestPhase());
+  auto child = snapshot::ForkVm(host, VmConfig{.name = "child"}, *parent);
+  ASSERT_TRUE(child.ok()) << child.status().ToString();
+  parent->Resume(TestPhase());
+  host.RunFor(5 * kSimTicksPerMs);
+
+  ExpectChainRestores(host, *parent, full);
+}
+
+TEST(DirtyLogTest, AbortedPreCopyLeavesTheSourceChainIntact) {
+  fault::FaultPlan plan;
+  plan.AddTransferLoss("migrate:link", 1.0);  // nothing ever gets through
+  fault::FaultInjector inj(plan);
+  Host src, dst;
+  Vm* vm = BootVm(src, VmConfig{.name = "src"}, guest::DirtyRateProgram(32, 2000));
+  src.RunFor(5 * kSimTicksPerMs);
+  std::vector<uint8_t> full = StartChain(*vm);
+  src.RunFor(5 * kSimTicksPerMs);
+
+  migrate::MigrateOptions options;
+  options.fault = &inj;
+  options.retry_backoff = kSimTicksPerMs;
+  options.retry_backoff_cap = 4 * kSimTicksPerMs;
+  auto moved = migrate::PreCopyMigrate(src, vm, dst, options, nullptr);
+  ASSERT_EQ(moved.status().code(), StatusCode::kAborted);
+  ASSERT_EQ(vm->state(), VmState::kRunning);
+  src.RunFor(5 * kSimTicksPerMs);
+
+  ExpectChainRestores(src, *vm, full);
+}
+
+TEST(DirtyLogTest, BalloonChangesRideTheChain) {
+  Host host;
+  // Balloon pool: pages 512..1023 of a 4 MiB guest.
+  Vm* vm = BootVm(host, VmConfig{.name = "bal"}, guest::BalloonDriverProgram(512, 512, 100000));
+  vm->SetBalloonTarget(128);
+  host.RunFor(100 * kSimTicksPerMs);
+  ASSERT_EQ(vm->ballooned_pages(), 128u);
+  std::vector<uint8_t> full = StartChain(*vm);
+
+  // Deflate repopulates pages the full image holds absent; the inflate
+  // after it releases pages the full image holds present.
+  vm->SetBalloonTarget(32);
+  host.RunFor(200 * kSimTicksPerMs);
+  ASSERT_EQ(vm->ballooned_pages(), 32u);
+  vm->SetBalloonTarget(64);
+  host.RunFor(100 * kSimTicksPerMs);
+  ASSERT_EQ(vm->ballooned_pages(), 64u);
+
+  ExpectChainRestores(host, *vm, full);
 }
 
 // ---------------------------------------------------------------------------

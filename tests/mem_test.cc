@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -278,20 +279,53 @@ TEST(GuestMemoryTest, DirtyLogging) {
   ASSERT_TRUE(mm.ok());
   GuestMemory& m = **mm;
 
-  // Writes before logging are not recorded.
+  // No consumer yet: writes are not recorded and charge nothing, and there
+  // is no chain to harvest.
   ASSERT_TRUE(m.WriteU32(0, 1).ok());
-  m.EnableDirtyLog();
-  EXPECT_EQ(m.DirtyCount(), 0u);
+  EXPECT_FALSE(m.MarkDirty(3));
+  EXPECT_EQ(m.HarvestDirty().status().code(), StatusCode::kFailedPrecondition);
 
+  m.EnableDirtyLog();
   EXPECT_TRUE(m.MarkDirty(3));   // first write: true
   EXPECT_FALSE(m.MarkDirty(3));  // second: false
   ASSERT_TRUE(m.WriteU32(5 * kPageSize, 7).ok());
-  EXPECT_EQ(m.DirtyCount(), 2u);
 
-  Bitmap harvest = m.HarvestDirty();
-  EXPECT_EQ(harvest.SetBits(), (std::vector<size_t>{3, 5}));
-  EXPECT_EQ(m.DirtyCount(), 0u);
+  Result<Bitmap> harvest = m.HarvestDirty();
+  ASSERT_TRUE(harvest.ok());
+  EXPECT_EQ(harvest->SetBits(), (std::vector<size_t>{3, 5}));
+  EXPECT_EQ(m.HarvestDirty()->Count(), 0u);
   EXPECT_TRUE(m.MarkDirty(3));  // dirties again after harvest
+
+  // Restarting the chain drops its set.
+  m.EnableDirtyLog();
+  EXPECT_EQ(m.HarvestDirty()->Count(), 0u);
+
+  // A balloon release and populate are changes the chain must carry.
+  ASSERT_TRUE(m.ReleasePage(TestPhase(), 6).ok());
+  EXPECT_EQ(m.HarvestDirty()->SetBits(), (std::vector<size_t>{6}));
+  ASSERT_TRUE(m.PopulatePage(6).ok());
+  EXPECT_EQ(m.HarvestDirty()->SetBits(), (std::vector<size_t>{6}));
+
+  // Two more consumers next to the chain: each harvest takes only its own
+  // set, and a write charges again after a harvest by any of them.
+  DirtyCursor a(m);
+  auto b = std::make_unique<DirtyCursor>(m);
+  EXPECT_TRUE(a.Harvest().SetBits().empty());  // cursors start empty
+  EXPECT_TRUE(m.MarkDirty(1));
+  EXPECT_FALSE(m.MarkDirty(1));
+  EXPECT_EQ(a.Harvest().SetBits(), (std::vector<size_t>{1}));
+  EXPECT_TRUE(m.MarkDirty(1));                                 // a harvested
+  EXPECT_EQ(b->Harvest().SetBits(), (std::vector<size_t>{1}));  // intact
+  EXPECT_TRUE(m.MarkDirty(1));                                 // b harvested
+  EXPECT_EQ(m.HarvestDirty()->SetBits(), (std::vector<size_t>{1}));
+  EXPECT_TRUE(m.MarkDirty(1));  // the chain harvested
+  // A destroyed cursor stops receiving marks: b's set is empty after this
+  // harvest, so a write would charge if b were still registered.
+  EXPECT_EQ(b->Harvest().SetBits(), (std::vector<size_t>{1}));
+  b.reset();
+  EXPECT_FALSE(m.MarkDirty(1));
+  EXPECT_EQ(a.Harvest().SetBits(), (std::vector<size_t>{1}));
+  EXPECT_EQ(m.HarvestDirty()->SetBits(), (std::vector<size_t>{1}));
 }
 
 TEST(GuestMemoryTest, BalloonReleaseAndPopulate) {

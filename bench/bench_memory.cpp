@@ -8,6 +8,11 @@
 // Expected shape: KSM savings scale ~linearly with the similarity ratio;
 // ballooning reclaims exactly the requested pages, bounded by the guests'
 // floors.
+//
+// Every column is simulated and deterministic except F6's ms-per-pass, the
+// wall time of the scan pass on the machine running the bench.
+
+#include <chrono>
 
 #include "bench/bench_util.h"
 #include "src/balloon/balloon.h"
@@ -20,9 +25,11 @@ int main() {
   Section("F6: KSM — savings vs content similarity (4 VMs x 256 filled pages)");
   // Untouched guest RAM is zero pages, which all merge regardless of the
   // similarity knob; the content signal is the *delta* over the 0% baseline.
-  Row("%-12s %14s %14s %16s %14s", "similarity", "frames-freed", "zero-page-part",
-      "content-merges", "content-MiB");
+  Row("%-12s %14s %14s %16s %14s %12s %13s", "similarity", "frames-freed", "zero-page-part",
+      "content-merges", "content-MiB", "ms-per-pass", "pages-hashed");
   uint64_t baseline_freed = 0;
+  double rescan_ms = 0;
+  uint64_t rescan_scanned = 0, rescan_hashed = 0;
   for (uint32_t percent : {0u, 25u, 50u, 75u, 100u}) {
     core::HostConfig hc;
     hc.ram_bytes = 256u << 20;
@@ -48,21 +55,38 @@ int main() {
       daemon.AddClient(&vm->memory());
     }
     size_t before = host.pool().used_frames();
+    auto w0 = std::chrono::steady_clock::now();
     (void)daemon.ScanOnce();
+    auto w1 = std::chrono::steady_clock::now();
     size_t after = host.pool().used_frames();
     uint64_t freed = before - after;
     if (percent == 0) {
       baseline_freed = freed;
     }
     uint64_t content = freed > baseline_freed ? freed - baseline_freed : 0;
-    Row("%9u %% %14llu %14llu %16llu %11.2f MiB", percent,
+    Row("%9u %% %14llu %14llu %16llu %11.2f MiB %12.2f %13llu", percent,
         static_cast<unsigned long long>(freed),
         static_cast<unsigned long long>(baseline_freed),
         static_cast<unsigned long long>(content),
-        static_cast<double>(content * isa::kPageSize) / (1 << 20));
+        static_cast<double>(content * isa::kPageSize) / (1 << 20),
+        std::chrono::duration<double, std::milli>(w1 - w0).count(),
+        static_cast<unsigned long long>(daemon.stats().pages_hashed));
+    if (percent == 100) {
+      // A second pass over the merged rack hashes each shared frame once.
+      const ksm::KsmStats first = daemon.stats();
+      w0 = std::chrono::steady_clock::now();
+      (void)daemon.ScanOnce();
+      w1 = std::chrono::steady_clock::now();
+      rescan_ms = std::chrono::duration<double, std::milli>(w1 - w0).count();
+      rescan_scanned = daemon.stats().pages_scanned - first.pages_scanned;
+      rescan_hashed = daemon.stats().pages_hashed - first.pages_hashed;
+    }
   }
   Row("expected content-merges at p%%: 3 x 256 x p/100 (3 duplicate copies of the");
   Row("shared prefix collapse onto one frame): 0 / 192 / 384 / 576 / 768");
+  Row("rescan of the merged 100%% rack: %.2f ms, %llu pages hashed of %llu scanned", rescan_ms,
+      static_cast<unsigned long long>(rescan_hashed),
+      static_cast<unsigned long long>(rescan_scanned));
 
   Section("F6b: COW-break tax — guest writes into merged pages");
   {

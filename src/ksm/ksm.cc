@@ -21,6 +21,14 @@ uint64_t KsmDaemon::ScanOnce() {
   // page contents are volatile, so a persistent table would chase stale data.
   std::unordered_map<uint32_t, std::vector<PageRef>> table;
 
+  // host frame -> CRC of its contents, for this pass only. Pages that share
+  // a frame (merged by an earlier pass, or COW-shared by a fork) are hashed
+  // once. Exact: the pass allocates no frame and no guest runs, so a frame's
+  // bytes cannot change before the pass ends, even when a merge frees it.
+  // A stale entry could only hide a merge, never make a wrong one: the
+  // memcmp below decides every merge.
+  std::unordered_map<mem::HostFrame, uint32_t> frame_crc;
+
   for (mem::GuestMemory* memory : clients_) {
     for (uint32_t gpn = 0; gpn < memory->num_pages(); ++gpn) {
       if (!memory->IsPresent(gpn) || memory->IsWriteProtected(gpn)) {
@@ -28,13 +36,18 @@ uint64_t KsmDaemon::ScanOnce() {
       }
       ++stats_.pages_scanned;
       const uint8_t* data = memory->PageData(gpn);
-      uint32_t hash = Crc32(data, isa::kPageSize);
+      mem::HostFrame my_frame = memory->FrameForPage(gpn);
+      auto [memo, fresh] = frame_crc.try_emplace(my_frame);
+      if (fresh) {
+        memo->second = Crc32(data, isa::kPageSize);
+        ++stats_.pages_hashed;
+      }
+      uint32_t hash = memo->second;
 
       auto& bucket = table[hash];
       bool merged = false;
       for (const PageRef& rep : bucket) {
         mem::HostFrame rep_frame = rep.memory->FrameForPage(rep.gpn);
-        mem::HostFrame my_frame = memory->FrameForPage(gpn);
         if (rep_frame == my_frame) {
           merged = true;  // already sharing this frame
           break;

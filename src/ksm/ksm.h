@@ -3,6 +3,10 @@
 // The daemon periodically scans registered guests' pages, hashes their
 // contents, byte-compares hash collisions, and merges identical pages onto a
 // single reference-counted host frame mapped copy-on-write into every owner.
+// A pass hashes each host frame once: pages that already share a frame
+// (merged earlier, or COW-shared by a fork) reuse the frame's CRC
+// from a per-pass memo, so a rescan of merged guests costs one hash per
+// distinct frame.
 // Guest stores to a merged page raise a COW-break exit that re-privatizes it
 // (handled in the CPU memory path).
 //
@@ -23,6 +27,7 @@ namespace hyperion::ksm {
 
 struct KsmStats {
   uint64_t pages_scanned = 0;
+  uint64_t pages_hashed = 0;   // CRCs computed: one per distinct frame per pass
   uint64_t pages_merged = 0;   // remapped onto an existing shared frame
   uint64_t frames_freed = 0;   // host frames released by merging
   uint64_t scan_passes = 0;

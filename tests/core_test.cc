@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
+#include <vector>
 
 #include "src/balloon/balloon.h"
 #include "src/fault/fault.h"
@@ -1331,6 +1333,144 @@ TEST(KsmTest, RescanIsStable) {
   uint64_t second = daemon.ScanOnce();
   EXPECT_EQ(second, 0u);  // nothing new to merge
   EXPECT_EQ(host.pool().used_frames(), used_after_first);
+}
+
+// The host frames a KSM pass over `vms` would hash: one per distinct frame
+// backing a present, unprotected page.
+size_t DistinctScannedFrames(const std::vector<Vm*>& vms) {
+  std::set<mem::HostFrame> frames;
+  for (Vm* vm : vms) {
+    for (uint32_t gpn = 0; gpn < vm->memory().num_pages(); ++gpn) {
+      if (vm->memory().IsPresent(gpn) && !vm->memory().IsWriteProtected(gpn)) {
+        frames.insert(vm->memory().FrameForPage(gpn));
+      }
+    }
+  }
+  return frames.size();
+}
+
+// Every page of every VM, absent pages marked: a KSM pass must not change it.
+std::vector<std::vector<uint8_t>> RamContents(const std::vector<Vm*>& vms) {
+  std::vector<std::vector<uint8_t>> ram;
+  for (Vm* vm : vms) {
+    std::vector<uint8_t>& bytes = ram.emplace_back();
+    for (uint32_t gpn = 0; gpn < vm->memory().num_pages(); ++gpn) {
+      const uint8_t* data = vm->memory().PageData(gpn);
+      bytes.push_back(data != nullptr);
+      if (data != nullptr) {
+        bytes.insert(bytes.end(), data, data + isa::kPageSize);
+      }
+    }
+  }
+  return ram;
+}
+
+// The pinned merge counts and frame totals below are those the daemon
+// produced before passes hashed each frame once; the per-pass frame memo
+// must not move any of them.
+constexpr uint64_t kRescanFirstMerged = 2013, kRescanFirstFreed = 2013;
+constexpr size_t kRescanUsedFrames = 35;
+constexpr uint64_t kForkMerged = 1978, kForkFreed = 989;
+constexpr size_t kForkUsedFrames = 35;
+constexpr uint64_t kCowFirstMerged = 2029, kCowFirstFreed = 2029;
+constexpr size_t kCowUsedAfterBreak = 21;
+
+TEST(KsmTest, RescanOfMergedGuestsHashesEachFrameOnce) {
+  Host host;
+  std::string prog = guest::PatternFillProgram(32, 32, 1);
+  Vm* a = BootVm(host, VmConfig{.name = "a"}, prog);
+  Vm* b = BootVm(host, VmConfig{.name = "b"}, prog);
+  host.RunFor(200 * kSimTicksPerMs);
+  const std::vector<Vm*> vms = {a, b};
+
+  ksm::KsmDaemon daemon(&host.pool());
+  daemon.AddClient(&a->memory());
+  daemon.AddClient(&b->memory());
+  const auto ram = RamContents(vms);
+  size_t frames = DistinctScannedFrames(vms);
+  EXPECT_EQ(daemon.ScanOnce(), kRescanFirstMerged);
+  EXPECT_EQ(daemon.stats().pages_hashed, frames);
+  EXPECT_EQ(daemon.stats().frames_freed, kRescanFirstFreed);
+  EXPECT_EQ(host.pool().used_frames(), kRescanUsedFrames);
+  EXPECT_EQ(RamContents(vms), ram);
+
+  // The rescan hashes one page per merged frame, far fewer than it scans.
+  frames = DistinctScannedFrames(vms);
+  const ksm::KsmStats first = daemon.stats();
+  EXPECT_EQ(daemon.ScanOnce(), 0u);
+  uint64_t scanned = daemon.stats().pages_scanned - first.pages_scanned;
+  uint64_t hashed = daemon.stats().pages_hashed - first.pages_hashed;
+  EXPECT_EQ(hashed, frames);
+  EXPECT_LT(hashed * 4, scanned);
+  EXPECT_EQ(daemon.stats().pages_merged, first.pages_merged);
+  EXPECT_EQ(daemon.stats().frames_freed, first.frames_freed);
+  EXPECT_EQ(host.pool().used_frames(), kRescanUsedFrames);
+  EXPECT_EQ(RamContents(vms), ram);
+}
+
+TEST(KsmTest, ForkChildCostsOneHashPerFrame) {
+  Host host;
+  std::string prog = guest::PatternFillProgram(32, 16, 3);
+  Vm* parent = BootVm(host, VmConfig{.name = "parent"}, prog);
+  host.RunFor(200 * kSimTicksPerMs);
+  parent->Pause(TestPhase());
+  auto child = snapshot::ForkVm(host, VmConfig{.name = "child"}, *parent);
+  ASSERT_TRUE(child.ok()) << child.status().ToString();
+  const std::vector<Vm*> vms = {parent, *child};
+
+  ksm::KsmDaemon daemon(&host.pool());
+  daemon.AddClient(&parent->memory());
+  daemon.AddClient(&(*child)->memory());
+  const auto ram = RamContents(vms);
+  size_t frames = DistinctScannedFrames(vms);
+  EXPECT_EQ(DistinctScannedFrames({parent}), frames);  // the child adds none
+  EXPECT_EQ(daemon.ScanOnce(), kForkMerged);
+  EXPECT_EQ(daemon.stats().pages_hashed, frames);
+  EXPECT_EQ(daemon.stats().pages_scanned, 2 * frames);
+  EXPECT_EQ(daemon.stats().frames_freed, kForkFreed);
+  EXPECT_EQ(host.pool().used_frames(), kForkUsedFrames);
+  EXPECT_EQ(RamContents(vms), ram);
+}
+
+TEST(KsmTest, CowBreakBetweenPassesRehashesTheBrokenPage) {
+  Host host;
+  std::string prog = guest::PatternFillProgram(16, 16, 1);
+  Vm* a = BootVm(host, VmConfig{.name = "a"}, prog);
+  Vm* b = BootVm(host, VmConfig{.name = "b"}, prog);
+  host.RunFor(200 * kSimTicksPerMs);
+  const std::vector<Vm*> vms = {a, b};
+
+  ksm::KsmDaemon daemon(&host.pool());
+  daemon.AddClient(&a->memory());
+  daemon.AddClient(&b->memory());
+  EXPECT_EQ(daemon.ScanOnce(), kCowFirstMerged);
+  EXPECT_EQ(daemon.stats().frames_freed, kCowFirstFreed);
+
+  // Break two of A's shared pattern pages: one gets new bytes, the other is
+  // rewritten with the bytes it already held.
+  const uint32_t changed = 0x100000, same = 0x101000;
+  ASSERT_TRUE(a->memory().IsShared(isa::PageNumber(changed)));
+  ASSERT_TRUE(a->memory().IsShared(isa::PageNumber(same)));
+  ASSERT_TRUE(a->memory().WriteU32(changed, 0xDEADBEEF).ok());
+  ASSERT_TRUE(a->memory().WriteU32(same, *a->memory().ReadU32(same)).ok());
+  ASSERT_FALSE(a->memory().IsShared(isa::PageNumber(changed)));
+  ASSERT_FALSE(a->memory().IsShared(isa::PageNumber(same)));
+  EXPECT_EQ(host.pool().used_frames(), kCowUsedAfterBreak);
+
+  // Both broken pages sit on private frames, so the next pass hashes them;
+  // only the one whose bytes still match merges again.
+  const auto ram = RamContents(vms);
+  size_t frames = DistinctScannedFrames(vms);
+  const ksm::KsmStats first = daemon.stats();
+  EXPECT_EQ(daemon.ScanOnce(), 1u);
+  EXPECT_EQ(daemon.stats().pages_hashed - first.pages_hashed, frames);
+  EXPECT_EQ(daemon.stats().frames_freed - first.frames_freed, 1u);
+  EXPECT_FALSE(a->memory().IsShared(isa::PageNumber(changed)));
+  EXPECT_TRUE(a->memory().IsShared(isa::PageNumber(same)));
+  EXPECT_EQ(a->memory().FrameForPage(isa::PageNumber(same)),
+            b->memory().FrameForPage(isa::PageNumber(same)));
+  EXPECT_EQ(host.pool().used_frames(), kCowUsedAfterBreak - 1);
+  EXPECT_EQ(RamContents(vms), ram);
 }
 
 }  // namespace

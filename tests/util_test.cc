@@ -280,6 +280,78 @@ TEST(Crc32Test, DetectsSingleBitFlips) {
   }
 }
 
+// The CRC-32 definition, one bit at a time. Crc32's table-driven form must
+// agree with it on every input.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<uint8_t> bytes(size);
+  for (auto& b : bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-80 cover the byte tail alone, every tail after one or more
+  // 8-byte steps, and every start offset misaligns the 8-byte reads.
+  const auto buf = RandomBytes(96, 7);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 80; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len), BitwiseCrc32(buf.data() + offset, len))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceOnFullPage) {
+  const auto page = RandomBytes(4096 + 8, 11);
+  for (size_t offset : {0u, 3u, 8u}) {
+    EXPECT_EQ(Crc32(page.data() + offset, 4096), BitwiseCrc32(page.data() + offset, 4096))
+        << "offset=" << offset;
+  }
+  const std::vector<uint8_t> zeros(4096, 0), ones(4096, 0xFF);
+  EXPECT_EQ(Crc32(zeros.data(), zeros.size()), BitwiseCrc32(zeros.data(), zeros.size()));
+  EXPECT_EQ(Crc32(ones.data(), ones.size()), BitwiseCrc32(ones.data(), ones.size()));
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceWithRandomSeeds) {
+  const auto buf = RandomBytes(256, 13);
+  Xoshiro256 rng(23);
+  for (int i = 0; i < 200; ++i) {
+    auto seed = static_cast<uint32_t>(rng.Next());
+    size_t offset = rng.Next() % 8;
+    size_t len = rng.Next() % (buf.size() - offset + 1);
+    EXPECT_EQ(Crc32(buf.data() + offset, len, seed), BitwiseCrc32(buf.data() + offset, len, seed))
+        << "seed=" << seed << " offset=" << offset << " len=" << len;
+  }
+}
+
+TEST(Crc32Test, ChainsAcrossWordBoundaries) {
+  // Three-piece chains with both cuts at every position: each piece starts
+  // and ends on and off 8-byte boundaries.
+  const auto buf = RandomBytes(40, 19);
+  const uint32_t whole = BitwiseCrc32(buf.data(), buf.size());
+  for (size_t a = 0; a <= buf.size(); ++a) {
+    for (size_t b = a; b <= buf.size(); ++b) {
+      uint32_t crc = Crc32(buf.data(), a);
+      crc = Crc32(buf.data() + a, b - a, crc);
+      crc = Crc32(buf.data() + b, buf.size() - b, crc);
+      EXPECT_EQ(crc, whole) << "cuts at " << a << " and " << b;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RNG
 // ---------------------------------------------------------------------------

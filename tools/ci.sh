@@ -99,10 +99,11 @@ if [ "$FAST" = "0" ]; then
   # NIC/switch suites that drive the TxStage and FrameBuf release paths, and
   # the frame pool, whose recycle stack is shared by concurrent Allocates,
   # and the snapshot, fork and dirty-log suites, whose guest stores mark the
-  # dirty-log cursors from execute lanes.
+  # dirty-log cursors from execute lanes, and the KSM suite, whose scans
+  # read frames and remap pages at barriers between multi-threaded rounds.
   # HYPERION_WORKERS=4 overrides the serial default so the pool genuinely
   # runs multi-threaded even for configs that leave worker_threads unset.
-  TSAN_FILTER='HostVmTest|SmpTest|DirtyLogTest|SnapshotTest|ForkTest|FuzzDiffSmpTest|SchedulingTest|StagedExecutionTest|DestroyVmTest|WorkerPoolTest|MigrationTest|MigrateIoTest|MigrateStateTest|MigrateSmpTest|ChaosTest|ChaosSmpTest|FaultPlanTest|InjectorTest|HvdCrashTest|ClusterTest|ClusterStagedTest|ClusterChaosTest|VirtioNetTest|SwitchBurstTest|EmuNetTest|FramePoolTest'
+  TSAN_FILTER='HostVmTest|SmpTest|DirtyLogTest|SnapshotTest|ForkTest|KsmTest|FuzzDiffSmpTest|SchedulingTest|StagedExecutionTest|DestroyVmTest|WorkerPoolTest|MigrationTest|MigrateIoTest|MigrateStateTest|MigrateSmpTest|ChaosTest|ChaosSmpTest|FaultPlanTest|InjectorTest|HvdCrashTest|ClusterTest|ClusterStagedTest|ClusterChaosTest|VirtioNetTest|SwitchBurstTest|EmuNetTest|FramePoolTest'
   cmake -B build-tsan -S . -DHYPERION_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS"
   (cd build-tsan && HYPERION_WORKERS=4 ctest -R "$TSAN_FILTER" --output-on-failure -j "$JOBS")

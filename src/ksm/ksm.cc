@@ -23,10 +23,13 @@ uint64_t KsmDaemon::ScanOnce() {
 
   // host frame -> CRC of its contents, for this pass only. Pages that share
   // a frame (merged by an earlier pass, or COW-shared by a fork) are hashed
-  // once. Exact: the pass allocates no frame and no guest runs, so a frame's
-  // bytes cannot change before the pass ends, even when a merge frees it.
-  // A stale entry could only hide a merge, never make a wrong one: the
-  // memcmp below decides every merge.
+  // once. Only shared frames (refcount > 1) get an entry: a private frame is
+  // mapped by no other page, and a merge only remaps the page being scanned,
+  // so nothing would look it up again. Exact: the pass allocates no frame
+  // and no guest runs, so a frame's bytes cannot change before the pass
+  // ends, and a frame a merge frees is never mapped again in it. A stale
+  // entry could only hide a merge, never make a wrong one: the memcmp below
+  // decides every merge.
   std::unordered_map<mem::HostFrame, uint32_t> frame_crc;
 
   for (mem::GuestMemory* memory : clients_) {
@@ -37,12 +40,16 @@ uint64_t KsmDaemon::ScanOnce() {
       ++stats_.pages_scanned;
       const uint8_t* data = memory->PageData(gpn);
       mem::HostFrame my_frame = memory->FrameForPage(gpn);
-      auto [memo, fresh] = frame_crc.try_emplace(my_frame);
-      if (fresh) {
-        memo->second = Crc32(data, isa::kPageSize);
+      uint32_t hash;
+      if (auto memo = frame_crc.find(my_frame); memo != frame_crc.end()) {
+        hash = memo->second;
+      } else {
+        hash = Crc32(data, isa::kPageSize);
         ++stats_.pages_hashed;
+        if (pool_->RefCount(my_frame) > 1) {
+          frame_crc.emplace(my_frame, hash);
+        }
       }
-      uint32_t hash = memo->second;
 
       auto& bucket = table[hash];
       bool merged = false;

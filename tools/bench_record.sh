@@ -3,44 +3,38 @@
 # checkout and a change checkout, in alternating order, with identical
 # settings, summarized into BENCH_<pr>.json.
 #
-#   tools/bench_record.sh [--pairs N] [--seconds S] [--out FILE] \
-#       PARENT_DIR CHANGE_DIR PR WORKLOAD:SEED...
+#   tools/bench_record.sh PARENT_DIR CHANGE_DIR PR WORKLOAD:SEED...
 #
 #   tools/bench_record.sh ../parent . 42 fleet:1 compute:1 lifecycle:1 lifecycle:90210
+#
+# Both directories must be git checkouts (make them with `git clone` and
+# `git checkout REV`); each side is labelled by `git describe --always
+# --dirty` of its checkout, and the tool stops if either has none.
 #
 # For each WORKLOAD:SEED it first runs both sides once at --seconds 0 (which
 # builds each side and yields its sim_digest) and stops unless the digests
 # are equal, since a timing comparison means nothing on different work. Then
-# it runs N pairs (default 10) of `python3 hvbench/run.py --workload W --seed
-# SEED --seconds S`, S defaulting to BENCHMARK.json's run_seconds. Pair i runs
-# the parent first when i is even and the change first when i is odd, so
-# slow stretches of a shared machine fall on both sides. Each side builds
-# into its own CARGO_TARGET_DIR (<side>/.bench_build), and every run's
-# digest must equal the warm-up's.
+# it runs 10 pairs of `python3 hvbench/run.py --workload W --seed SEED
+# --seconds S`, S being BENCHMARK.json's run_seconds. Pair i runs the parent
+# first when i is even and the change first when i is odd, so slow stretches
+# of a shared machine fall on both sides. Each side builds into its own
+# CARGO_TARGET_DIR (<side>/.bench_build), and every run's digest must equal
+# the warm-up's.
 #
-# The output (default BENCH_<pr>.json in the current directory) holds, per
-# workload and end-to-end metric of BENCHMARK.json: each side's median and
-# quartiles, the change's relative median delta (positive = better), the
-# number of pairs the change won, whether the median moved by more than the
-# parent's interquartile range, and whether it stayed within the metric's
-# bound. It also keeps every raw run. Raw run logs go to <out>.d/. Each side
-# is labelled by `git describe --always --dirty` of its checkout.
+# The output, BENCH_<pr>.json in the current directory, holds per workload
+# and end-to-end metric of BENCHMARK.json: each side's median and quartiles,
+# the change's relative median delta (positive = better), the number of
+# pairs the change won, whether the median moved by more than the parent's
+# interquartile range, whether it stayed within the metric's bound, and
+# whether it is unresolved: the parent's interquartile range, relative to
+# its median, is wider than the bound and not every change run beat every
+# parent run, so the runs spread too widely to call the metric unchanged.
+# It also keeps every raw run. Raw run logs go to BENCH_<pr>.json.d/.
 set -euo pipefail
 
 PAIRS=10
-SECONDS_ARG=""
-OUT=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --pairs) PAIRS="$2"; shift 2 ;;
-    --seconds) SECONDS_ARG="$2"; shift 2 ;;
-    --out) OUT="$2"; shift 2 ;;
-    -h|--help) sed -n '2,27p' "$0"; exit 0 ;;
-    *) break ;;
-  esac
-done
 if [[ $# -lt 4 ]]; then
-  echo "usage: $0 [--pairs N] [--seconds S] [--out FILE] PARENT_DIR CHANGE_DIR PR WORKLOAD:SEED..." >&2
+  echo "usage: $0 PARENT_DIR CHANGE_DIR PR WORKLOAD:SEED..." >&2
   exit 2
 fi
 PARENT=$(cd "$1" && pwd)
@@ -53,13 +47,17 @@ for spec in "$@"; do
     exit 2
   fi
 done
-OUT="${OUT:-BENCH_${PR}.json}"
+for dir in "$PARENT" "$CHANGE"; do
+  if ! git -C "$dir" rev-parse --verify -q HEAD >/dev/null; then
+    echo "$dir is not a git checkout with a commit; it could not be labelled" >&2
+    exit 2
+  fi
+done
+OUT="BENCH_${PR}.json"
 LOGS="${OUT}.d"
 mkdir -p "$LOGS"
-if [[ -z "$SECONDS_ARG" ]]; then
-  SECONDS_ARG=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
-    "$CHANGE/BENCHMARK.json")
-fi
+SECONDS_ARG=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+  "$CHANGE/BENCHMARK.json")
 
 # run SIDE_NAME DIR WORKLOAD SEED SECONDS LOG: one hvbench run; its last
 # stdout line (the JSON result) lands in LOG.
@@ -124,11 +122,8 @@ def quartiles(xs):
 
 
 def rev(path):
-    try:
-        return subprocess.run(["git", "-C", path, "describe", "--always", "--dirty"],
-                              capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return os.path.basename(path)
+    return subprocess.run(["git", "-C", path, "describe", "--always", "--dirty"],
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 report = {
@@ -166,6 +161,8 @@ for item in runs_wanted:
         # Relative change of the median, signed so that positive is better.
         delta = 0.0 if base == 0 else (cs["median"] - base) / base * (1 if higher else -1)
         wins = sum(1 for a, b in zip(p, c) if (b > a if higher else b < a))
+        spread = 0.0 if base == 0 else (ps["q3"] - ps["q1"]) / abs(base)
+        all_beat = min(c) > max(p) if higher else max(c) < min(p)
         metrics[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -176,6 +173,7 @@ for item in runs_wanted:
             "change_wins": wins,
             "beyond_parent_iqr": abs(cs["median"] - base) > ps["q3"] - ps["q1"],
             "within_bound": delta >= -m["bound"],
+            "unresolved": spread > m["bound"] and not all_beat,
         }
     report["workloads"].append({
         "workload": workload,
@@ -194,6 +192,7 @@ for w in report["workloads"]:
     print(f"{w['workload']} seed {w['seed']} (sim_digest {w['sim_digest']})")
     for name, m in w["metrics"].items():
         flag = "" if m["within_bound"] else "  OUT OF BOUND"
+        flag += "  UNRESOLVED" if m["unresolved"] else ""
         print(f"  {name:18s} parent {m['parent']['median']:.6g} change {m['change']['median']:.6g}"
               f" delta {m['delta']:+.1%} wins {m['change_wins']}/{pairs}"
               f"{' beyond-IQR' if m['beyond_parent_iqr'] else ''}{flag}")

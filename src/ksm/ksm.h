@@ -6,7 +6,8 @@
 // A pass hashes each host frame once: pages that already share a frame
 // (merged earlier, or COW-shared by a fork) reuse the frame's CRC
 // from a per-pass memo, so a rescan of merged guests costs one hash per
-// distinct frame.
+// distinct frame. Only shared frames enter the memo; a private frame is
+// hashed without one, so a pass with no sharing pays no memo inserts.
 // Guest stores to a merged page raise a COW-break exit that re-privatizes it
 // (handled in the CPU memory path).
 //

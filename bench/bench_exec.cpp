@@ -62,7 +62,7 @@ void RunEngine(benchmark::State& state, cpu::EngineKind kind,
   cpu::VcpuStats stats;
   for (auto _ : state) {
     MiniMachine m(1u << 20, mmu::PagingMode::kNested, kind,
-                  cpu::VirtMode::kHardwareAssist, /*dbt_max_blocks=*/0, dbt);
+                  cpu::VirtMode::kHardwareAssist, dbt);
     if (!m.Load(prog)) {
       state.SkipWithError("load failed");
       return;
@@ -102,7 +102,7 @@ void RunEngineHot(benchmark::State& state, cpu::EngineKind kind,
   std::string prog = guest::ComputeProgram(iters);
 
   MiniMachine m(1u << 20, mmu::PagingMode::kNested, kind,
-                cpu::VirtMode::kHardwareAssist, /*dbt_max_blocks=*/0, dbt);
+                cpu::VirtMode::kHardwareAssist, dbt);
   if (!m.Load(prog)) {
     state.SkipWithError("load failed");
     return;
@@ -152,7 +152,7 @@ void BM_DbtTier1Hot(benchmark::State& state) {
 // boot fresh machines that install the blob before their first instruction —
 // the linked-clone provisioning path. Unlike BM_Dbt (cold), no block is ever
 // translated inside the timed loop; unlike BM_DbtHot, every iteration pays
-// blob revalidation (page probes + code re-CRC) as a clone would.
+// the install (page probes, block decode, tier-2 recompile) as a clone would.
 void BM_DbtRestorePrewarmed(benchmark::State& state) {
   const uint32_t iters = static_cast<uint32_t>(state.range(0));
   std::string prog = guest::ComputeProgram(iters);
@@ -236,7 +236,8 @@ void RunEngineSmc(benchmark::State& state, cpu::EngineKind kind) {
   cpu::VcpuStats stats;
   for (auto _ : state) {
     MiniMachine m(1u << 20, mmu::PagingMode::kNested, kind,
-                  cpu::VirtMode::kHardwareAssist, /*dbt_max_blocks=*/48);
+                  cpu::VirtMode::kHardwareAssist,
+                  cpu::DbtOptions{.max_blocks = 48});
     if (!m.Load(prog)) {
       state.SkipWithError("load failed");
       return;

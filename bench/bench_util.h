@@ -72,20 +72,15 @@ inline uint32_t Progress(core::Vm* vm, const std::string& source) {
 
 class MiniMachine {
  public:
-  // `dbt_max_blocks` != 0 sizes the DBT translation cache (capacity-pressure
-  // experiments); 0 keeps the engine default. `dbt_options` carries the full
-  // knob set (tier-2 enable/threshold); a nonzero dbt_max_blocks overrides
-  // its capacity.
+  // `dbt_options` carries the DBT knob set: cache capacity (for
+  // capacity-pressure experiments) and tier-2 enable/threshold.
   MiniMachine(uint32_t ram_bytes, mmu::PagingMode paging, cpu::EngineKind engine,
               cpu::VirtMode virt_mode = cpu::VirtMode::kHardwareAssist,
-              size_t dbt_max_blocks = 0, cpu::DbtOptions dbt_options = {})
+              const cpu::DbtOptions& dbt_options = {})
       : pool_(2 * (ram_bytes / isa::kPageSize) + 64) {
     auto mem = mem::GuestMemory::Create(&pool_, ram_bytes);
     memory_ = std::move(mem).value();
     virt_ = mmu::MakeVirtualizer(paging, memory_.get());
-    if (dbt_max_blocks != 0) {
-      dbt_options.max_blocks = dbt_max_blocks;
-    }
     engine_ = cpu::MakeEngine(engine, dbt_options);
     ctx_.memory = memory_.get();
     ctx_.virt = virt_.get();

@@ -29,8 +29,7 @@ Status Vm::Init(const SerialPhase& ph) {
   clock_owner_ = host_->clock().NewOwner();
   clock_ = ClockRef(&host_->clock(), clock_owner_);
   HYP_ASSIGN_OR_RETURN(memory_, mem::GuestMemory::Create(&host_->pool(), config_.ram_bytes));
-  virt_ = mmu::MakeVirtualizer(config_.paging_mode, memory_.get(), host_->costs(),
-                               config_.tlb_entries);
+  virt_ = mmu::MakeVirtualizer(config_.paging_mode, memory_.get(), host_->costs());
   virt_->ConfigureVcpus(config_.num_vcpus);
   memory_->SetInvalidateHook([this](uint32_t gpn) { InvalidateGpn(gpn); });
 

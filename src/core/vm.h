@@ -49,7 +49,6 @@ struct VmConfig {
   cpu::DbtOptions dbt;  // tier-2 threshold / cache size (DBT engines only)
   cpu::VirtMode virt_mode = cpu::VirtMode::kHardwareAssist;
   sched::EntityConfig sched;
-  size_t tlb_entries = 256;
 
   IoModel disk_model = IoModel::kNone;
   std::shared_ptr<storage::BlockStore> disk;

@@ -88,7 +88,7 @@ struct VcpuStats {
   uint64_t csr_writes_elided = 0;  // DBT: dead scratch-CSR writes removed
   uint64_t tier2_ops_folded = 0;   // DBT: instructions constant-folded
   uint64_t tier2_ops_dead = 0;     // DBT: instructions removed as dead
-  uint64_t persist_hits = 0;    // translations revalidated from a snapshot
+  uint64_t persist_hits = 0;    // translations re-derived from a snapshot
   uint64_t persist_misses = 0;  // persisted translations rejected on restore
 
   uint64_t TotalExits() const {
@@ -168,12 +168,13 @@ class ExecutionEngine {
   // The guest switched address spaces (PTBR write). Translations keyed by the
   // old root stay valid; only cross-block assumptions (chains) must be cut.
   virtual void OnAddressSpaceSwitch() {}
-  // Persistent translation cache (DBT). SerializeTranslations emits every
-  // validated translation unit as a self-describing versioned blob (empty
-  // when the engine has nothing to persist). InstallTranslations replaces the
-  // engine's caches with units from such a blob, revalidating each against
-  // the current guest memory/mappings in `ctx` and silently dropping any that
-  // fail — a rejected blob degrades to cold translation, never to stale code.
+  // Persistent translation cache (DBT). SerializeTranslations records which
+  // code the engine has translated as a self-describing versioned blob
+  // (empty when the engine has nothing to persist). InstallTranslations
+  // replaces the engine's caches by re-deriving each named translation from
+  // the guest memory and mappings in `ctx`, dropping any that no longer
+  // derive the same. The blob names code but holds none, so whatever it
+  // says, the guest runs only code its memory holds.
   virtual std::vector<uint8_t> SerializeTranslations() const { return {}; }
   virtual void InstallTranslations(VcpuContext& ctx,
                                    std::span<const uint8_t> blob) {

@@ -38,6 +38,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -259,12 +260,14 @@ class DbtEngine final : public ExecutionEngine {
     ++chain_gen_;
   }
 
-  // Emits every cached block (and any tier-2 unit) as a self-describing
-  // versioned blob: per block the key, a CRC of the translated code words
-  // (the image-digest binding), the pre-decoded instructions, the guest
-  // code pages, heat, and an optional tier-2 section. Tier-1 traces are not
-  // persisted — with heat restored they re-form in one recorded loop pass
-  // at zero translation cost. Blocks are sorted by key so identical caches
+  // Emits what to translate, not the translation. Per cached block: its key
+  // (va, ptbr, paging), heat and instruction count; for a head holding a
+  // tier-2 unit, also the trace's pass count and the start va of each block
+  // the trace splices. Install re-derives every instruction and micro-op
+  // from the restored guest memory, so a blob cannot make a guest run code
+  // its memory does not hold. Tier-1-only traces are not persisted — with
+  // heat restored they re-form in one recorded loop pass at zero
+  // translation cost. Blocks are sorted by key so identical caches
   // serialize to identical bytes.
   std::vector<uint8_t> SerializeTranslations() const override {
     ByteWriter w;
@@ -281,32 +284,18 @@ class DbtEngine final : public ExecutionEngine {
     for (const Block* bp : ordered) {
       const Block& b = *bp;
       w.WriteU64(b.key);
-      w.WriteU32(b.start_va);
-      w.WriteU32(b.code_crc);
       w.WriteU32(b.heat);
-      w.WriteU16(static_cast<uint16_t>(b.instrs.size()));
-      for (const isa::Instruction& in : b.instrs) {
-        w.WriteU8(static_cast<uint8_t>(in.opcode));
-        w.WriteU8(in.rd);
-        w.WriteU8(in.rs1);
-        w.WriteU8(in.rs2);
-        w.WriteU8(in.funct);
-        w.WriteU32(static_cast<uint32_t>(in.imm));
+      w.WriteU8(static_cast<uint8_t>(b.instrs.size()));
+      std::vector<uint32_t> starts;
+      if (b.trace != nullptr && b.trace->tier2 != nullptr) {
+        starts = BlockStarts(*b.trace);
       }
-      w.WriteU8(static_cast<uint8_t>(b.gpns.size()));
-      for (uint32_t g : b.gpns) {
-        w.WriteU32(g);
-      }
-      bool t2 = b.trace != nullptr && b.trace->tier2 != nullptr;
-      w.WriteU8(t2 ? 1 : 0);
-      if (t2) {
-        const Trace& tr = *b.trace;
-        w.WriteU8(static_cast<uint8_t>(tr.gpns.size()));
-        for (uint32_t g : tr.gpns) {
-          w.WriteU32(g);
+      w.WriteU8(static_cast<uint8_t>(starts.size()));  // 0: no tier-2 unit
+      if (!starts.empty()) {
+        w.WriteU64(b.trace->execs);
+        for (uint32_t va : starts) {
+          w.WriteU32(va);
         }
-        w.WriteU64(tr.execs);
-        ir::SerializeUnit(*tr.tier2, w);
       }
     }
     uint32_t crc = Crc32(w.buffer().data(), w.size());
@@ -314,15 +303,15 @@ class DbtEngine final : public ExecutionEngine {
     return w.TakeBuffer();
   }
 
-  // Replaces the caches with units from a persisted blob, revalidating each
-  // against the *restored* guest memory and mappings: a block installs only
-  // if its va still translates to the recorded pages and the code words
-  // still hash to the recorded CRC; a tier-2 unit additionally reruns its
-  // guard probes. Anything that fails — trailer CRC, version, a torn or
-  // tampered block — is counted in persist_misses and degrades to cold
-  // translation. Revalidation is host-side provisioning work and charges
-  // no guest cycles, so a restored VM's timeline is identical to one that
-  // never snapshotted.
+  // Replaces the caches with the translations a blob names, re-deriving
+  // each from the *restored* guest memory under its key's address space: a
+  // block installs only if its code still decodes to the recorded length,
+  // and a tier-2 head's trace is rebuilt from its blocks' code and
+  // recompiled. Anything that fails — trailer CRC, version, a torn record,
+  // code that no longer decodes the same — is counted in persist_misses and
+  // degrades to cold translation. Install is host-side provisioning work
+  // and charges no guest cycles, so a restored VM's timeline is identical
+  // to one that never snapshotted.
   void InstallTranslations(VcpuContext& ctx, std::span<const uint8_t> blob) override {
     // The restore path replaced guest memory wholesale: start from empty
     // caches and drop queued invalidation work — it described the old
@@ -376,27 +365,20 @@ class DbtEngine final : public ExecutionEngine {
   // ALU instructions precede each step, so pc provably advances by 4 and the
   // per-instruction guard is elided. `seam` marks former block entry points,
   // where pending SMC invalidations force an exit (equivalent to
-  // block-by-block dispatch).
-  struct Chunk {
-    uint32_t begin = 0;
-    uint32_t end = 0;
-    uint32_t va = 0;  // guard: pc the first instruction must execute at
-    uint8_t seam = 0;
-  };
+  // block-by-block dispatch). `va` is the guard: the pc the chunk's first
+  // instruction must execute at.
+  using Chunk = ir::Tier2Input::Piece;
 
   // A superblock: the concatenated instructions of a hot loop's blocks.
   // Once `execs` crosses the tier-up threshold the trace is lifted into an
   // optimized tier-2 unit (src/cpu/ir/); the unit shares the trace's page
-  // registrations, so SMC/sfence invalidation kills both at once. A trace
-  // restored from a persisted translation blob may be a stub (empty instrs)
-  // that exists only to host its tier-2 unit.
+  // registrations, so SMC/sfence invalidation kills both at once. `code`
+  // (head va, instructions, chunks) is exactly what the compiler takes.
   struct Trace {
-    uint32_t head_va = 0;
+    ir::Tier2Input code;
     uint64_t map_gen = 0;
     uint64_t execs = 0;        // full passes, for tier-2 promotion
     bool tier2_failed = false;  // compile refused; don't retry every pass
-    std::vector<isa::Instruction> instrs;
-    std::vector<Chunk> chunks;
     std::vector<uint32_t> gpns;
     std::unique_ptr<ir::Tier2Unit> tier2;
   };
@@ -421,8 +403,7 @@ class DbtEngine final : public ExecutionEngine {
     uint64_t key = 0;
     uint64_t map_gen = 0;  // epoch the translation was (re)validated in
     uint32_t heat = 0;     // backward-transfer arrivals (trace promotion)
-    uint32_t code_crc = 0;  // CRC of the translated instruction words
-    bool hot = false;       // clock reference bit
+    bool hot = false;      // clock reference bit
     std::vector<isa::Instruction> instrs;
     std::vector<uint32_t> gpns;  // guest pages the code bytes came from
     Link links[2];
@@ -438,7 +419,16 @@ class DbtEngine final : public ExecutionEngine {
   // Persisted translation cache: "HCT2" little-endian, bumped on any layout
   // change so stale blobs are rejected wholesale instead of misparsed.
   static constexpr uint32_t kPersistMagic = 0x32544348;
-  static constexpr uint32_t kPersistVersion = 1;
+  static constexpr uint32_t kPersistVersion = 2;
+
+  // The address space code is fetched under: the live CSRs when
+  // translating, the block key's fields when restoring.
+  struct Space {
+    bool paging = false;
+    uint32_t ptbr = 0;
+  };
+  // (probe va, gpn), one per code page; see ProbePage.
+  using PageMap = std::vector<std::pair<uint32_t, uint32_t>>;
 
   static uint64_t Key(uint32_t va, uint32_t ptbr, bool paging) {
     uint64_t k = va;
@@ -475,33 +465,53 @@ class DbtEngine final : public ExecutionEngine {
   Block TranslateBlock(ExecCore& core, VcpuContext& ctx, uint32_t va) {
     Block block;
     block.start_va = va;
-    CpuState& s = ctx.state;
-    while (block.instrs.size() < kMaxBlockInstrs) {
-      if (va & 3u) {
+    DecodeBlock(ctx, block, [&](uint32_t a) { return FetchGpn(&core, ctx, LiveSpace(ctx), a); });
+    return block;
+  }
+
+  // The block stop rule, shared by translation and restore: decodes from
+  // b.start_va up to a block-ending instruction, the length cap, or the
+  // first word whose page `gpn_of(va)` cannot supply.
+  template <typename GpnOf>
+  static void DecodeBlock(VcpuContext& ctx, Block& b, GpnOf&& gpn_of) {
+    for (uint32_t va = b.start_va; b.instrs.size() < kMaxBlockInstrs && (va & 3u) == 0;
+         va += 4) {
+      std::optional<uint32_t> gpn = gpn_of(va);
+      if (!gpn) {
         break;
       }
-      mmu::TranslateOutcome out =
-          ctx.virt->Translate(va, mmu::Access::kFetch, s.priv(), s.paging_enabled(), s.ptbr);
-      core.Charge(out.cost);
-      if (out.event != mmu::MemEvent::kNone || out.is_mmio) {
-        break;
-      }
-      const uint8_t* page = ctx.memory->pool().FrameData(out.frame);
       uint32_t word;
-      std::memcpy(&word, page + isa::VaPageOffset(out.gpa), 4);
+      std::memcpy(&word, ctx.memory->PageData(*gpn) + isa::VaPageOffset(va), 4);
       isa::Instruction in = isa::Decode(word);
-      block.instrs.push_back(in);
-      block.code_crc = Crc32(&word, 4, block.code_crc);
-      uint32_t gpn = isa::PageNumber(out.gpa);
-      if (block.gpns.empty() || block.gpns.back() != gpn) {
-        block.gpns.push_back(gpn);
+      b.instrs.push_back(in);
+      if (b.gpns.empty() || b.gpns.back() != *gpn) {
+        b.gpns.push_back(*gpn);
       }
       if (EndsBlock(in)) {
         break;
       }
-      va += 4;
     }
-    return block;
+  }
+
+  // Fetch-translates `va` under `space` and returns its guest page, or
+  // nullopt when the page is absent, MMIO or faults. `core` pays for the
+  // translation when given; restore passes null, since provisioning is host
+  // work.
+  static std::optional<uint32_t> FetchGpn(ExecCore* core, VcpuContext& ctx, Space space,
+                                          uint32_t va) {
+    mmu::TranslateOutcome out = ctx.virt->Translate(
+        va, mmu::Access::kFetch, ctx.state.priv(), space.paging, space.ptbr);
+    if (core != nullptr) {
+      core->Charge(out.cost);
+    }
+    if (out.event != mmu::MemEvent::kNone || out.is_mmio) {
+      return std::nullopt;
+    }
+    return isa::PageNumber(out.gpa);
+  }
+
+  static Space LiveSpace(const VcpuContext& ctx) {
+    return {ctx.state.paging_enabled(), ctx.state.ptbr};
   }
 
   void SingleStep(ExecCore& core, VcpuContext& ctx) {
@@ -558,20 +568,13 @@ class DbtEngine final : public ExecutionEngine {
     if (b.instrs.empty() || b.gpns.empty()) {
       return false;
     }
-    CpuState& s = ctx.state;
-    auto check = [&](uint32_t va, uint32_t want_gpn) {
-      mmu::TranslateOutcome out =
-          ctx.virt->Translate(va, mmu::Access::kFetch, s.priv(), s.paging_enabled(), s.ptbr);
-      core.Charge(out.cost);
-      return out.event == mmu::MemEvent::kNone && !out.is_mmio &&
-             isa::PageNumber(out.gpa) == want_gpn;
-    };
-    if (!check(b.start_va, b.gpns.front())) {
+    Space live = LiveSpace(ctx);
+    if (FetchGpn(&core, ctx, live, b.start_va) != b.gpns.front()) {
       return false;
     }
     if (b.gpns.size() > 1) {
       uint32_t last_va = b.start_va + 4 * static_cast<uint32_t>(b.instrs.size() - 1);
-      if (!check(last_va, b.gpns.back())) {
+      if (FetchGpn(&core, ctx, live, last_va) != b.gpns.back()) {
         return false;
       }
     }
@@ -607,34 +610,15 @@ class DbtEngine final : public ExecutionEngine {
   // loop head.
   void FormTrace(ExecCore& core, VcpuContext& ctx) {
     auto tr = std::make_unique<Trace>();
-    tr->head_va = trace_head_->start_va;
+    tr->code.head_va = trace_head_->start_va;
     tr->map_gen = map_gen_;
     for (Block* b : trace_blocks_) {
-      if (tr->instrs.size() + b->instrs.size() > kMaxTraceInstrs) {
+      if (!Splice(*tr, *b)) {
         AbortRecording();
         return;
       }
-      bool open_chunk = false;  // block entry always starts a fresh chunk
-      for (size_t i = 0; i < b->instrs.size(); ++i) {
-        uint32_t idx = static_cast<uint32_t>(tr->instrs.size());
-        if (!open_chunk) {
-          Chunk c;
-          c.begin = idx;
-          c.va = b->start_va + 4 * static_cast<uint32_t>(i);
-          c.seam = static_cast<uint8_t>(i == 0 && !tr->chunks.empty() ? 1 : 0);
-          tr->chunks.push_back(c);
-        }
-        tr->instrs.push_back(b->instrs[i]);
-        tr->chunks.back().end = idx + 1;
-        open_chunk = StraightLine(b->instrs[i]);
-      }
-      for (uint32_t gpn : b->gpns) {
-        if (std::find(tr->gpns.begin(), tr->gpns.end(), gpn) == tr->gpns.end()) {
-          tr->gpns.push_back(gpn);
-        }
-      }
     }
-    core.Charge(2 * tr->instrs.size());  // splice cost
+    core.Charge(2 * tr->code.instrs.size());  // splice cost
     for (uint32_t gpn : tr->gpns) {
       code_pages_.insert(gpn);
       page_traces_[gpn].push_back(trace_head_->key);
@@ -642,6 +626,48 @@ class DbtEngine final : public ExecutionEngine {
     trace_head_->trace = std::move(tr);
     ++ctx.stats.traces_formed;
     AbortRecording();
+  }
+
+  // Appends one block to a superblock. A block entry always starts a fresh
+  // chunk (a seam after the first block); a chunk then runs on while the
+  // instruction before stays straight-line. False when the trace would
+  // outgrow kMaxTraceInstrs.
+  static bool Splice(Trace& tr, const Block& b) {
+    if (tr.code.instrs.size() + b.instrs.size() > kMaxTraceInstrs) {
+      return false;
+    }
+    bool open_chunk = false;
+    for (size_t i = 0; i < b.instrs.size(); ++i) {
+      uint32_t idx = static_cast<uint32_t>(tr.code.instrs.size());
+      if (!open_chunk) {
+        Chunk c;
+        c.begin = idx;
+        c.va = b.start_va + 4 * static_cast<uint32_t>(i);
+        c.seam = static_cast<uint8_t>(i == 0 && !tr.code.pieces.empty() ? 1 : 0);
+        tr.code.pieces.push_back(c);
+      }
+      tr.code.instrs.push_back(b.instrs[i]);
+      tr.code.pieces.back().end = idx + 1;
+      open_chunk = StraightLine(b.instrs[i]);
+    }
+    for (uint32_t gpn : b.gpns) {
+      if (std::find(tr.gpns.begin(), tr.gpns.end(), gpn) == tr.gpns.end()) {
+        tr.gpns.push_back(gpn);
+      }
+    }
+    return true;
+  }
+
+  // The start va of each block a trace splices: its first chunk and every
+  // seam chunk.
+  static std::vector<uint32_t> BlockStarts(const Trace& tr) {
+    std::vector<uint32_t> starts;
+    for (const Chunk& c : tr.code.pieces) {
+      if (starts.empty() || c.seam != 0) {
+        starts.push_back(c.va);
+      }
+    }
+    return starts;
   }
 
   // Executes the head's superblock, re-entering it while the loop keeps
@@ -653,10 +679,10 @@ class DbtEngine final : public ExecutionEngine {
     Trace& tr = *head.trace;
     CpuState& s = ctx.state;
     head.hot = true;
-    const isa::Instruction* instrs = tr.instrs.data();
-    const Chunk* chunks = tr.chunks.data();
-    const size_t nchunks = tr.chunks.size();
-    const uint32_t head_va = tr.head_va;
+    const isa::Instruction* instrs = tr.code.instrs.data();
+    const Chunk* chunks = tr.code.pieces.data();
+    const size_t nchunks = tr.code.pieces.size();
+    const uint32_t head_va = tr.code.head_va;
     // The only CSR a traceable block may touch is the scratch register
     // (which cannot move status or timecmp), and a trap mid-trace fails the
     // next guard, so status (IE) and timecmp are fixed for the whole stay in
@@ -736,15 +762,8 @@ class DbtEngine final : public ExecutionEngine {
   // does not pay a failed compile on every dispatch.
   void PromoteToTier2(ExecCore& core, VcpuContext& ctx, Block& head) {
     Trace& tr = *head.trace;
-    ir::Tier2Input input;
-    input.head_va = tr.head_va;
-    input.instrs = tr.instrs;
-    input.pieces.reserve(tr.chunks.size());
-    for (const Chunk& c : tr.chunks) {
-      input.pieces.push_back({c.begin, c.end, c.va, c.seam});
-    }
-    std::optional<ir::Tier2Unit> unit = ir::Compile(input);
-    if (!unit || !FillPageMap(core, ctx, *unit)) {
+    std::optional<ir::Tier2Unit> unit = ir::Compile(tr.code);
+    if (!unit || !FillPageMap(core, ctx, tr, *unit)) {
       tr.tier2_failed = true;
       return;
     }
@@ -758,47 +777,48 @@ class DbtEngine final : public ExecutionEngine {
     tr.tier2 = std::make_unique<ir::Tier2Unit>(std::move(*unit));
   }
 
-  // Records the unit's guard set: one (probe va, expected gpn) pair per
-  // guest code page the trace fetches from, resolved under the current
-  // mapping (the trace is current-epoch when promotion happens).
-  bool FillPageMap(ExecCore& core, VcpuContext& ctx, ir::Tier2Unit& unit) {
-    CpuState& s = ctx.state;
-    auto seen = [&unit](uint32_t vpn) {
-      for (const auto& [probe_va, gpn] : unit.page_map) {
-        if (isa::PageNumber(probe_va) == vpn) {
-          return true;
-        }
-      }
-      return false;
-    };
-    for (const ir::Tier2Op& o : unit.ops) {
-      if (o.op == ir::T2Op::kSeam) {
-        continue;  // seams reuse their block entry's va
-      }
-      uint32_t vpn = isa::PageNumber(o.va);
-      if (seen(vpn)) {
-        continue;
-      }
-      mmu::TranslateOutcome out = ctx.virt->Translate(
-          o.va, mmu::Access::kFetch, s.priv(), s.paging_enabled(), s.ptbr);
-      core.Charge(out.cost);
-      if (out.event != mmu::MemEvent::kNone || out.is_mmio) {
+  // Records the unit's guard set, resolved under the current mapping (the
+  // trace is current-epoch when promotion happens). Chunks are contiguous
+  // and span at most two pages, so probing each chunk's endpoints visits
+  // every code page in first-fetch order.
+  bool FillPageMap(ExecCore& core, VcpuContext& ctx, const Trace& tr, ir::Tier2Unit& unit) {
+    Space live = LiveSpace(ctx);
+    for (const Chunk& c : tr.code.pieces) {
+      uint32_t last_va = c.va + 4 * (c.end - c.begin - 1);
+      if (!ProbePage(&core, ctx, live, c.va, unit.page_map) ||
+          !ProbePage(&core, ctx, live, last_va, unit.page_map)) {
         return false;
       }
-      unit.page_map.emplace_back(o.va, isa::PageNumber(out.gpa));
     }
-    return !unit.page_map.empty();
+    return true;
+  }
+
+  // FetchGpn for the code page holding `va`, made only the first time the
+  // page is touched and recorded in `pages`. A walk over code through one
+  // PageMap thus makes one probe per page, in first-fetch order: a tier-2
+  // unit's guard set.
+  static std::optional<uint32_t> ProbePage(ExecCore* core, VcpuContext& ctx, Space space,
+                                           uint32_t va, PageMap& pages) {
+    std::optional<uint32_t> gpn = Lookup(pages, va);
+    if (!gpn && (gpn = FetchGpn(core, ctx, space, va))) {
+      pages.emplace_back(va, *gpn);
+    }
+    return gpn;
+  }
+
+  static std::optional<uint32_t> Lookup(const PageMap& pages, uint32_t va) {
+    for (const auto& [probe_va, gpn] : pages) {
+      if (isa::PageNumber(probe_va) == isa::PageNumber(va)) {
+        return gpn;
+      }
+    }
+    return std::nullopt;
   }
 
   // Reruns the unit's guard probes against the current mapping epoch.
   bool RevalidateUnit(ExecCore& core, VcpuContext& ctx, const ir::Tier2Unit& unit) {
-    CpuState& s = ctx.state;
     for (const auto& [probe_va, want_gpn] : unit.page_map) {
-      mmu::TranslateOutcome out = ctx.virt->Translate(
-          probe_va, mmu::Access::kFetch, s.priv(), s.paging_enabled(), s.ptbr);
-      core.Charge(out.cost);
-      if (out.event != mmu::MemEvent::kNone || out.is_mmio ||
-          isa::PageNumber(out.gpa) != want_gpn) {
+      if (FetchGpn(&core, ctx, LiveSpace(ctx), probe_va) != want_gpn) {
         return false;
       }
     }
@@ -807,108 +827,70 @@ class DbtEngine final : public ExecutionEngine {
 
   // --- Persistence ----------------------------------------------------------
 
-  // Parses one block record from a persisted blob and installs it if it
-  // revalidates against the restored guest. Returns false only on a parse
-  // desync (torn/truncated stream); a semantically stale block is skipped
-  // with a persist_miss and parsing continues.
+  // Parses one block record and installs the block if its code re-derives
+  // from the restored guest. Returns false only on a parse desync
+  // (torn/truncated stream); a block that no longer decodes the same is
+  // skipped with a persist_miss and parsing continues.
   bool InstallOneBlock(VcpuContext& ctx, ByteReader& r) {
     auto key = r.ReadU64();
-    auto start_va = r.ReadU32();
-    auto code_crc = r.ReadU32();
     auto heat = r.ReadU32();
-    auto ninstr = r.ReadU16();
-    if (!ninstr.ok() || *ninstr == 0 || *ninstr > kMaxBlockInstrs) {
+    auto ninstr = r.ReadU8();
+    auto nstarts = r.ReadU8();
+    if (!key.ok() || !heat.ok() || !ninstr.ok() || !nstarts.ok() || *ninstr == 0 ||
+        *ninstr > kMaxBlockInstrs || *nstarts > kMaxTraceBlocks) {
       return false;
     }
-    Block b;
-    b.key = *key;
-    b.start_va = *start_va;
-    b.code_crc = *code_crc;
-    b.heat = *heat;
-    b.instrs.resize(*ninstr);
-    for (isa::Instruction& in : b.instrs) {
-      auto op = r.ReadU8();
-      auto rd = r.ReadU8();
-      auto rs1 = r.ReadU8();
-      auto rs2 = r.ReadU8();
-      auto funct = r.ReadU8();
-      auto imm = r.ReadU32();
-      if (!imm.ok() || *rd >= 16 || *rs1 >= 16 || *rs2 >= 16) {
+    uint64_t execs = 0;
+    std::vector<uint32_t> starts(*nstarts);
+    if (!starts.empty()) {
+      auto e = r.ReadU64();
+      if (!e.ok()) {
         return false;
       }
-      in.opcode = static_cast<isa::Opcode>(*op);
-      in.rd = *rd;
-      in.rs1 = *rs1;
-      in.rs2 = *rs2;
-      in.funct = *funct;
-      in.imm = static_cast<int32_t>(*imm);
-    }
-    auto ngpns = r.ReadU8();
-    if (!ngpns.ok() || *ngpns == 0 || *ngpns > 2) {
-      return false;
-    }
-    b.gpns.resize(*ngpns);
-    for (uint32_t& g : b.gpns) {
-      auto v = r.ReadU32();
-      if (!v.ok()) {
-        return false;
-      }
-      g = *v;
-    }
-    auto has_t2 = r.ReadU8();
-    if (!has_t2.ok()) {
-      return false;
-    }
-    std::unique_ptr<Trace> stub;
-    if (*has_t2 != 0) {
-      // The tier-2 section must parse even if the block is later rejected —
-      // the stream has to stay in sync for the blocks behind it.
-      auto ntg = r.ReadU8();
-      if (!ntg.ok() || *ntg == 0 || *ntg > 64) {
-        return false;
-      }
-      stub = std::make_unique<Trace>();
-      stub->head_va = b.start_va;
-      stub->gpns.resize(*ntg);
-      for (uint32_t& g : stub->gpns) {
+      execs = *e;
+      for (uint32_t& va : starts) {
         auto v = r.ReadU32();
         if (!v.ok()) {
           return false;
         }
-        g = *v;
+        va = *v;
       }
-      auto execs = r.ReadU64();
-      if (!execs.ok()) {
-        return false;
-      }
-      stub->execs = *execs;
-      std::optional<ir::Tier2Unit> unit = ir::DeserializeUnit(r);
-      if (!unit) {
-        return false;
-      }
-      stub->tier2 = std::make_unique<ir::Tier2Unit>(std::move(*unit));
     }
-    // Semantic acceptance: the va must still map to the recorded pages and
-    // the restored code words must hash to the recorded CRC.
-    if (blocks_.size() >= max_blocks_ || blocks_.count(b.key) != 0 ||
-        !RevalidateRestoredBlock(ctx, b)) {
+    Block b;
+    b.key = *key;
+    b.start_va = static_cast<uint32_t>(*key);
+    b.heat = *heat;
+    // The address space comes from the key, not the live CSRs. The block's
+    // endpoints are probed first, exactly the pages its code spans; the
+    // decode then reads no further page, so a block that would now run on
+    // past its last page ends there, as a live translation does at a page
+    // it cannot fetch.
+    Space space{(b.key >> 63) != 0, static_cast<uint32_t>((b.key >> 32) & 0x7FFFFFFFu)};
+    uint32_t last_va = b.start_va + 4 * (*ninstr - 1u);
+    PageMap pages;
+    if (blocks_.size() < max_blocks_ && blocks_.count(b.key) == 0 && (b.start_va & 3u) == 0 &&
+        ProbePage(nullptr, ctx, space, b.start_va, pages) &&
+        ProbePage(nullptr, ctx, space, last_va, pages)) {
+      DecodeBlock(ctx, b, [&](uint32_t va) { return Lookup(pages, va); });
+    }
+    if (b.instrs.size() != *ninstr) {
       ++ctx.stats.persist_misses;
       return true;
     }
-    if (stub != nullptr) {
-      bool paging = (b.key >> 63) != 0;
-      uint32_t ptbr = static_cast<uint32_t>((b.key >> 32) & 0x7FFFFFFFu);
-      if (options_.enable_tier2 &&
-          RevalidateUnitUncharged(ctx, *stub->tier2, paging, ptbr)) {
-        stub->map_gen = map_gen_;
-        stub->tier2->map_gen = map_gen_;
-        for (uint32_t gpn : stub->gpns) {
+    if (!starts.empty()) {
+      std::unique_ptr<Trace> tr;
+      if (options_.enable_tier2 && starts.front() == b.start_va) {
+        tr = RebuildTrace(ctx, space, starts);
+      }
+      if (tr != nullptr) {
+        tr->execs = execs;
+        for (uint32_t gpn : tr->gpns) {
           code_pages_.insert(gpn);
           page_traces_[gpn].push_back(b.key);
         }
-        b.trace = std::move(stub);
+        b.trace = std::move(tr);
       } else {
-        // Unit dropped (guard drift or tier-2 disabled here); the tier-1
+        // Unit dropped (code drift or tier-2 disabled here); the tier-1
         // block underneath is still good.
         ++ctx.stats.persist_misses;
       }
@@ -925,66 +907,42 @@ class DbtEngine final : public ExecutionEngine {
     return true;
   }
 
-  // Like Revalidate(), but for a block parsed from a blob rather than one the
-  // current guest produced: decodes (ptbr, paging) from the key instead of
-  // trusting live CSRs, additionally re-hashes the code words out of restored
-  // memory, and charges nothing — provisioning is host work, so a restored
-  // VM's cycle timeline matches a never-snapshotted one.
-  bool RevalidateRestoredBlock(VcpuContext& ctx, const Block& b) {
-    if ((b.start_va & 3u) != 0 ||
-        static_cast<uint32_t>(b.key & 0xFFFFFFFFu) != b.start_va) {
-      return false;
-    }
-    bool paging = (b.key >> 63) != 0;
-    uint32_t ptbr = static_cast<uint32_t>((b.key >> 32) & 0x7FFFFFFFu);
-    auto xlate = [&](uint32_t va, mmu::TranslateOutcome* out) {
-      *out = ctx.virt->Translate(va, mmu::Access::kFetch, ctx.state.priv(),
-                                 paging, ptbr);
-      return out->event == mmu::MemEvent::kNone && !out->is_mmio;
-    };
-    mmu::TranslateOutcome first;
-    if (!xlate(b.start_va, &first) ||
-        isa::PageNumber(first.gpa) != b.gpns.front()) {
-      return false;
-    }
-    uint32_t last_va =
-        b.start_va + 4 * static_cast<uint32_t>(b.instrs.size() - 1);
-    mmu::TranslateOutcome last = first;
-    if (isa::PageNumber(last_va) != isa::PageNumber(b.start_va)) {
-      if (b.gpns.size() != 2 || !xlate(last_va, &last) ||
-          isa::PageNumber(last.gpa) != b.gpns.back()) {
-        return false;
+  // Rebuilds a persisted tier-2 head's trace from guest memory: decodes
+  // each block it splices, splices them as FormTrace does and recompiles.
+  // The decode probes every code page once, uncharged, in first-fetch
+  // order, which is the unit's guard set. Null when a page cannot be
+  // fetched, the compile refuses, or a block that falls through does not
+  // reach the next one (the unit checks only branch and jump targets at
+  // run time, so a fall-through edge must hold by construction).
+  std::unique_ptr<Trace> RebuildTrace(VcpuContext& ctx, Space space,
+                                      const std::vector<uint32_t>& starts) {
+    auto tr = std::make_unique<Trace>();
+    tr->code.head_va = starts.front();
+    tr->map_gen = map_gen_;
+    PageMap pages;
+    for (size_t k = 0; k < starts.size(); ++k) {
+      Block b;
+      b.start_va = starts[k];
+      DecodeBlock(ctx, b, [&](uint32_t va) { return ProbePage(nullptr, ctx, space, va, pages); });
+      if (b.instrs.empty()) {
+        return nullptr;
       }
-    } else if (b.gpns.size() != 1) {
-      return false;
-    }
-    const uint8_t* page0 = ctx.memory->pool().FrameData(first.frame);
-    const uint8_t* page1 = ctx.memory->pool().FrameData(last.frame);
-    uint32_t first_vpn = isa::PageNumber(b.start_va);
-    uint32_t crc = 0;
-    for (size_t i = 0; i < b.instrs.size(); ++i) {
-      uint32_t va = b.start_va + 4 * static_cast<uint32_t>(i);
-      const uint8_t* page = isa::PageNumber(va) == first_vpn ? page0 : page1;
-      uint32_t word;
-      std::memcpy(&word, page + isa::VaPageOffset(va), 4);
-      crc = Crc32(&word, 4, crc);
-    }
-    return crc == b.code_crc;
-  }
-
-  // RevalidateUnit without the cycle charge, under an explicit address-space
-  // root (from the block key) instead of the live CSRs.
-  bool RevalidateUnitUncharged(VcpuContext& ctx, const ir::Tier2Unit& unit,
-                               bool paging, uint32_t ptbr) {
-    for (const auto& [probe_va, want_gpn] : unit.page_map) {
-      mmu::TranslateOutcome out = ctx.virt->Translate(
-          probe_va, mmu::Access::kFetch, ctx.state.priv(), paging, ptbr);
-      if (out.event != mmu::MemEvent::kNone || out.is_mmio ||
-          isa::PageNumber(out.gpa) != want_gpn) {
-        return false;
+      uint32_t next_va = k + 1 < starts.size() ? starts[k + 1] : tr->code.head_va;
+      Opcode last = b.instrs.back().opcode;
+      bool transfers = last == Opcode::kJal || last == Opcode::kJalr || last == Opcode::kBranch;
+      if ((!transfers && b.start_va + 4 * static_cast<uint32_t>(b.instrs.size()) != next_va) ||
+          !Splice(*tr, b)) {
+        return nullptr;
       }
     }
-    return true;
+    std::optional<ir::Tier2Unit> unit = ir::Compile(tr->code);
+    if (!unit) {
+      return nullptr;
+    }
+    unit->page_map = std::move(pages);
+    unit->map_gen = map_gen_;
+    tr->tier2 = std::make_unique<ir::Tier2Unit>(std::move(*unit));
+    return tr;
   }
 
   void RunTier2(ExecCore& core, VcpuContext& ctx, Block& head, uint64_t max_cycles) {
@@ -1189,27 +1147,12 @@ class DbtEngine final : public ExecutionEngine {
 
 }  // namespace
 
-std::unique_ptr<ExecutionEngine> MakeDbtEngine(size_t max_blocks) {
-  DbtOptions options;
-  options.max_blocks = max_blocks;
-  return std::make_unique<DbtEngine>(options);
-}
-
-std::unique_ptr<ExecutionEngine> MakeDbtEngine(const DbtOptions& options) {
-  return std::make_unique<DbtEngine>(options);
-}
-
-std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind) {
-  return MakeEngine(kind, DbtOptions{});
-}
-
-std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind,
-                                            const DbtOptions& options) {
+std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind, const DbtOptions& options) {
   switch (kind) {
     case EngineKind::kInterpreter:
       return MakeInterpreter();
     case EngineKind::kDbt:
-      return MakeDbtEngine(options);
+      return std::make_unique<DbtEngine>(options);
   }
   return nullptr;
 }

@@ -9,9 +9,10 @@
 // tier-1 superblock traces stitched from hot loops, and a tier-2 optimizer
 // (src/cpu/ir/) that lifts traces whose execution count crosses
 // `tier2_threshold` into an optimized micro-op form. The engine can also
-// serialize its validated translations and reinstall them after a snapshot
-// restore (ExecutionEngine::SerializeTranslations / InstallTranslations),
-// so cloned VMs boot with a pre-warmed code cache.
+// record which code it has translated and re-derive those translations from
+// guest memory after a snapshot restore
+// (ExecutionEngine::SerializeTranslations / InstallTranslations), so cloned
+// VMs boot with a pre-warmed code cache.
 
 #ifndef SRC_CPU_DBT_H_
 #define SRC_CPU_DBT_H_
@@ -33,14 +34,10 @@ struct DbtOptions {
   uint32_t tier2_threshold = 50;
 };
 
-std::unique_ptr<ExecutionEngine> MakeDbtEngine(size_t max_blocks = 4096);
-std::unique_ptr<ExecutionEngine> MakeDbtEngine(const DbtOptions& options);
-
 enum class EngineKind : uint8_t { kInterpreter = 0, kDbt = 1 };
 
-std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind);
-std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind,
-                                            const DbtOptions& options);
+// `options` applies to kDbt only.
+std::unique_ptr<ExecutionEngine> MakeEngine(EngineKind kind, const DbtOptions& options = {});
 
 }  // namespace hyperion::cpu
 

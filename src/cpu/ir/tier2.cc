@@ -404,149 +404,4 @@ std::optional<Tier2Unit> Compile(const Tier2Input& input) {
   return unit;
 }
 
-void SerializeUnit(const Tier2Unit& unit, ByteWriter& w) {
-  w.WriteU32(unit.head_va);
-  w.WriteU32(static_cast<uint32_t>(unit.ops.size()));
-  for (const Tier2Op& o : unit.ops) {
-    w.WriteU8(static_cast<uint8_t>(o.op));
-    w.WriteU8(o.funct);
-    w.WriteU8(o.rd);
-    w.WriteU8(o.rs1);
-    w.WriteU8(o.rs2);
-    w.WriteU32(static_cast<uint32_t>(o.imm));
-    w.WriteU32(o.aux);
-    w.WriteU32(o.va);
-  }
-  w.WriteU32(static_cast<uint32_t>(unit.fallback.size()));
-  for (const isa::Instruction& in : unit.fallback) {
-    w.WriteU8(static_cast<uint8_t>(in.opcode));
-    w.WriteU8(in.rd);
-    w.WriteU8(in.rs1);
-    w.WriteU8(in.rs2);
-    w.WriteU8(in.funct);
-    w.WriteU32(static_cast<uint32_t>(in.imm));
-  }
-  w.WriteU32(static_cast<uint32_t>(unit.page_map.size()));
-  for (const auto& [probe_va, gpn] : unit.page_map) {
-    w.WriteU32(probe_va);
-    w.WriteU32(gpn);
-  }
-  w.WriteU32(unit.folds);
-  w.WriteU32(unit.dead);
-  w.WriteU32(unit.csr_elided);
-  w.WriteU32(unit.guards_elided);
-}
-
-std::optional<Tier2Unit> DeserializeUnit(ByteReader& r) {
-  // Caps: a unit derives from a <=256-instruction trace; anything larger is
-  // a corrupted or hostile blob.
-  constexpr uint32_t kMaxOps = 1024;
-  constexpr uint32_t kMaxFallback = 1024;
-  constexpr uint32_t kMaxPages = 64;
-
-  Tier2Unit unit;
-  auto head = r.ReadU32();
-  if (!head.ok()) {
-    return std::nullopt;
-  }
-  unit.head_va = *head;
-  auto nops = r.ReadU32();
-  if (!nops.ok() || *nops == 0 || *nops > kMaxOps) {
-    return std::nullopt;
-  }
-  unit.ops.resize(*nops);
-  for (Tier2Op& o : unit.ops) {
-    auto op = r.ReadU8();
-    auto funct = r.ReadU8();
-    auto rd = r.ReadU8();
-    auto rs1 = r.ReadU8();
-    auto rs2 = r.ReadU8();
-    auto imm = r.ReadU32();
-    auto aux = r.ReadU32();
-    auto va = r.ReadU32();
-    if (!va.ok()) {
-      return std::nullopt;
-    }
-    if (*op >= static_cast<uint8_t>(T2Op::kOpCount) || *rd >= 16 ||
-        *rs1 >= 16 || *rs2 >= 16) {
-      return std::nullopt;
-    }
-    o.op = static_cast<T2Op>(*op);
-    o.funct = *funct;
-    o.rd = *rd;
-    o.rs1 = *rs1;
-    o.rs2 = *rs2;
-    o.imm = static_cast<int32_t>(*imm);
-    o.aux = *aux;
-    o.va = *va;
-    // Funct ranges feed enum switches in the executor; reject junk.
-    if ((o.op == T2Op::kAluRR || o.op == T2Op::kAluRI) &&
-        o.funct > static_cast<uint8_t>(isa::AluOp::kRemu)) {
-      return std::nullopt;
-    }
-    if (o.op == T2Op::kBranch &&
-        o.funct > static_cast<uint8_t>(isa::BranchCond::kGeu)) {
-      return std::nullopt;
-    }
-    if (o.op == T2Op::kCsrScratch && o.funct > 2) {
-      return std::nullopt;
-    }
-  }
-  auto nfall = r.ReadU32();
-  if (!nfall.ok() || *nfall > kMaxFallback) {
-    return std::nullopt;
-  }
-  unit.fallback.resize(*nfall);
-  for (isa::Instruction& in : unit.fallback) {
-    auto op = r.ReadU8();
-    auto rd = r.ReadU8();
-    auto rs1 = r.ReadU8();
-    auto rs2 = r.ReadU8();
-    auto funct = r.ReadU8();
-    auto imm = r.ReadU32();
-    if (!imm.ok() || *rd >= 16 || *rs1 >= 16 || *rs2 >= 16) {
-      return std::nullopt;
-    }
-    in.opcode = static_cast<Opcode>(*op);
-    in.rd = *rd;
-    in.rs1 = *rs1;
-    in.rs2 = *rs2;
-    in.funct = *funct;
-    in.imm = static_cast<int32_t>(*imm);
-  }
-  // Fallback indices must resolve inside the table we just read.
-  for (const Tier2Op& o : unit.ops) {
-    if (o.op == T2Op::kFallback &&
-        (o.imm < 0 || static_cast<uint32_t>(o.imm) >= *nfall)) {
-      return std::nullopt;
-    }
-  }
-  auto npages = r.ReadU32();
-  if (!npages.ok() || *npages == 0 || *npages > kMaxPages) {
-    return std::nullopt;
-  }
-  unit.page_map.resize(*npages);
-  for (auto& [probe_va, gpn] : unit.page_map) {
-    auto pv = r.ReadU32();
-    auto pg = r.ReadU32();
-    if (!pg.ok()) {
-      return std::nullopt;
-    }
-    probe_va = *pv;
-    gpn = *pg;
-  }
-  auto folds = r.ReadU32();
-  auto dead = r.ReadU32();
-  auto csr = r.ReadU32();
-  auto guards = r.ReadU32();
-  if (!guards.ok()) {
-    return std::nullopt;
-  }
-  unit.folds = *folds;
-  unit.dead = *dead;
-  unit.csr_elided = *csr;
-  unit.guards_elided = *guards;
-  return unit;
-}
-
 }  // namespace hyperion::cpu::ir

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "src/isa/hv32.h"
-#include "src/util/byte_stream.h"
 
 namespace hyperion::cpu::ir {
 
@@ -65,7 +64,6 @@ enum class T2Op : uint8_t {
   kCsrScratch,  // funct = 0/1/2 for csrrw/csrrs/csrrc on the scratch CSR
   kPrivGuard,   // privilege check + T&E cost of an elided dead scratch write
   kFallback,    // ExecCore::Execute(fallback[imm])
-  kOpCount,     // sentinel for deserialization bounds checks
 };
 
 struct Tier2Op {
@@ -105,7 +103,7 @@ struct Tier2Unit {
   std::vector<isa::Instruction> fallback;
   // Guard set for lazy mapping revalidation: one (probe va, expected gpn)
   // pair per guest code page the unit fetches from. Filled by the engine at
-  // promotion time; a stale-epoch unit reruns only these probes.
+  // promotion or restore; a stale-epoch unit reruns only these probes.
   std::vector<std::pair<uint32_t, uint32_t>> page_map;
   uint64_t map_gen = 0;  // epoch the unit was (re)validated in
 
@@ -121,13 +119,6 @@ struct Tier2Unit {
 // hoisted status/timecmp assumptions: non-scratch CSR accesses, privileged
 // control) — the caller keeps running the tier-1 trace.
 std::optional<Tier2Unit> Compile(const Tier2Input& input);
-
-// Persistence (the engine embeds units in its translation blob). The
-// deserializer validates every index, register number and op kind against
-// the unit's own tables, so a corrupted or hostile blob yields nullopt,
-// never an out-of-bounds executor.
-void SerializeUnit(const Tier2Unit& unit, ByteWriter& w);
-std::optional<Tier2Unit> DeserializeUnit(ByteReader& r);
 
 }  // namespace hyperion::cpu::ir
 

@@ -16,9 +16,8 @@ namespace {
 
 class NestedPaging final : public MemoryVirtualizer {
  public:
-  NestedPaging(mem::GuestMemory* memory, const CostModel& costs, size_t tlb_entries,
-               bool asid_tlb)
-      : MemoryVirtualizer(memory, costs, tlb_entries), asid_tlb_(asid_tlb) {}
+  NestedPaging(mem::GuestMemory* memory, const CostModel& costs, bool asid_tlb)
+      : MemoryVirtualizer(memory, costs), asid_tlb_(asid_tlb) {}
 
   std::string_view name() const override { return asid_tlb_ ? "nested+asid" : "nested"; }
 
@@ -107,9 +106,8 @@ class NestedPaging final : public MemoryVirtualizer {
 }  // namespace
 
 std::unique_ptr<MemoryVirtualizer> MakeNestedPaging(mem::GuestMemory* memory,
-                                                    const CostModel& costs, size_t tlb_entries,
-                                                    bool asid_tlb) {
-  return std::make_unique<NestedPaging>(memory, costs, tlb_entries, asid_tlb);
+                                                    const CostModel& costs, bool asid_tlb) {
+  return std::make_unique<NestedPaging>(memory, costs, asid_tlb);
 }
 
 }  // namespace hyperion::mmu

@@ -451,8 +451,8 @@ class ShadowPaging final : public MemoryVirtualizer {
 }  // namespace
 
 std::unique_ptr<MemoryVirtualizer> MakeShadowPaging(mem::GuestMemory* memory,
-                                                    const CostModel& costs, size_t tlb_entries) {
-  return std::make_unique<ShadowPaging>(memory, costs, tlb_entries);
+                                                    const CostModel& costs) {
+  return std::make_unique<ShadowPaging>(memory, costs);
 }
 
 }  // namespace hyperion::mmu

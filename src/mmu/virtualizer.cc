@@ -30,7 +30,7 @@ void MemoryVirtualizer::InvalidateGpn(uint32_t gpn) {
 
 void MemoryVirtualizer::ConfigureVcpus(uint32_t num_vcpus) {
   while (tlbs_.size() < num_vcpus) {
-    tlbs_.emplace_back(tlb_entries_);
+    tlbs_.emplace_back(kTlbEntries);
   }
   while (tlbs_.size() > num_vcpus && tlbs_.size() > 1) {
     tlbs_.pop_back();
@@ -141,20 +141,19 @@ uint64_t BarePassthrough::OnPtbrWrite(uint32_t new_ptbr) {
 }
 
 std::unique_ptr<MemoryVirtualizer> MakeBarePassthrough(mem::GuestMemory* memory,
-                                                       const CostModel& costs,
-                                                       size_t tlb_entries) {
-  return std::make_unique<BarePassthrough>(memory, costs, tlb_entries);
+                                                       const CostModel& costs) {
+  return std::make_unique<BarePassthrough>(memory, costs);
 }
 
 std::unique_ptr<MemoryVirtualizer> MakeVirtualizer(PagingMode mode, mem::GuestMemory* memory,
-                                                   const CostModel& costs, size_t tlb_entries) {
+                                                   const CostModel& costs) {
   switch (mode) {
     case PagingMode::kShadow:
-      return MakeShadowPaging(memory, costs, tlb_entries);
+      return MakeShadowPaging(memory, costs);
     case PagingMode::kNested:
-      return MakeNestedPaging(memory, costs, tlb_entries);
+      return MakeNestedPaging(memory, costs);
     case PagingMode::kNestedAsid:
-      return MakeNestedPaging(memory, costs, tlb_entries, /*asid_tlb=*/true);
+      return MakeNestedPaging(memory, costs, /*asid_tlb=*/true);
   }
   return nullptr;
 }

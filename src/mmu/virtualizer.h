@@ -75,11 +75,13 @@ struct MmuStats {
 
 class MemoryVirtualizer {
  public:
+  // Entries in each per-vCPU TLB.
+  static constexpr size_t kTlbEntries = 256;
+
   explicit MemoryVirtualizer(mem::GuestMemory* memory,
-                             const CostModel& costs = CostModel::Default(),
-                             size_t tlb_entries = 256)
-      : memory_(memory), costs_(costs), tlb_entries_(tlb_entries) {
-    tlbs_.emplace_back(tlb_entries);
+                             const CostModel& costs = CostModel::Default())
+      : memory_(memory), costs_(costs) {
+    tlbs_.emplace_back(kTlbEntries);
     tlb_ = &tlbs_.front();
   }
   virtual ~MemoryVirtualizer() = default;
@@ -178,7 +180,6 @@ class MemoryVirtualizer {
   std::deque<Tlb> tlbs_;
   Tlb* tlb_;
   uint32_t active_vcpu_ = 0;
-  size_t tlb_entries_;
   MmuStats stats_;
 };
 
@@ -196,23 +197,19 @@ class BarePassthrough final : public MemoryVirtualizer {
 
 // Factory helpers.
 std::unique_ptr<MemoryVirtualizer> MakeShadowPaging(mem::GuestMemory* memory,
-                                                    const CostModel& costs = CostModel::Default(),
-                                                    size_t tlb_entries = 256);
+                                                    const CostModel& costs = CostModel::Default());
 // `asid_tlb` enables address-space tags in the TLB, so PTBR switches keep
 // other spaces' translations warm (the ASID/PCID ablation of experiment F1c).
 std::unique_ptr<MemoryVirtualizer> MakeNestedPaging(mem::GuestMemory* memory,
                                                     const CostModel& costs = CostModel::Default(),
-                                                    size_t tlb_entries = 256,
                                                     bool asid_tlb = false);
 std::unique_ptr<MemoryVirtualizer> MakeBarePassthrough(
-    mem::GuestMemory* memory, const CostModel& costs = CostModel::Default(),
-    size_t tlb_entries = 256);
+    mem::GuestMemory* memory, const CostModel& costs = CostModel::Default());
 
 enum class PagingMode : uint8_t { kShadow = 0, kNested = 1, kNestedAsid = 2 };
 
 std::unique_ptr<MemoryVirtualizer> MakeVirtualizer(PagingMode mode, mem::GuestMemory* memory,
-                                                   const CostModel& costs = CostModel::Default(),
-                                                   size_t tlb_entries = 256);
+                                                   const CostModel& costs = CostModel::Default());
 
 }  // namespace hyperion::mmu
 

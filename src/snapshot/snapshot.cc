@@ -269,9 +269,9 @@ Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes) {
     vm.engine(i).FlushCodeCache();
   }
   // Then pre-warm from the snapshot's own translation cache: each engine
-  // revalidates every persisted unit against the memory restored above and
-  // installs what survives. A corrupt or stale blob degrades to cold
-  // translation — the restore itself still succeeds.
+  // re-derives every translation the blob names from the memory restored
+  // above and installs what still decodes the same. A corrupt or stale blob
+  // degrades to cold translation — the restore itself still succeeds.
   for (uint32_t i = 0; i < translations.size(); ++i) {
     vm.engine(i).InstallTranslations(vm.vcpu(i), translations[i]);
   }

@@ -873,7 +873,7 @@ again:
     halt
 )";
   TestMachine m(1u << 20, PagingMode::kNested, EngineKind::kDbt, VirtMode::kHardwareAssist,
-                /*dbt_max_blocks=*/8);
+                cpu::DbtOptions{.max_blocks = 8});
   m.Load(source);
   m.RunToHalt();
   EXPECT_EQ(m.Reg(isa::kA0), 5u * kBlocks);
@@ -893,8 +893,7 @@ cpu::DbtOptions LowTier2Threshold() {
 
 TestMachine MakeTier2Machine() {
   return TestMachine(1u << 20, PagingMode::kNested, EngineKind::kDbt,
-                     VirtMode::kHardwareAssist, /*dbt_max_blocks=*/0,
-                     LowTier2Threshold());
+                     VirtMode::kHardwareAssist, LowTier2Threshold());
 }
 
 // A data-dependent compute loop: enough ALU work per iteration that tier-2's
@@ -1202,11 +1201,88 @@ loop:
   EXPECT_GT(m.ctx().stats.blocks_translated, 0u);
 }
 
+TEST(Tier2Test, TamperedUnitCannotRunCodeNotInMemory) {
+  // The blob's trailer CRC catches accidents, not edits: anyone can re-seal
+  // it. Add 1 to each byte of a warmed blob in turn, re-seal, install and
+  // run. An edit may make the restored cache colder or change its heat, but
+  // the guest must only ever run the code its memory holds, so every run
+  // computes exactly what the warm run did.
+  TestMachine warm = MakeTier2Machine();
+  warm.Load(kComputeLoop);
+  warm.RunToHalt(100'000'000);
+  ASSERT_GE(warm.ctx().stats.tier2_promotions, 1u);
+  std::vector<uint8_t> blob = warm.engine().SerializeTranslations();
+  ASSERT_GT(blob.size(), 4u);
+
+  for (size_t i = 0; i + 4 < blob.size(); ++i) {
+    std::vector<uint8_t> bad = blob;
+    ++bad[i];
+    uint32_t crc = Crc32(bad.data(), bad.size() - 4);
+    std::memcpy(bad.data() + bad.size() - 4, &crc, 4);
+    TestMachine m = MakeTier2Machine();
+    m.Load(kComputeLoop);
+    m.engine().InstallTranslations(m.ctx(), bad);
+    m.RunToHalt(100'000'000);
+    EXPECT_EQ(m.Reg(isa::kA0), warm.Reg(isa::kA0)) << "edited byte " << i;
+    EXPECT_EQ(m.Reg(isa::kS1), warm.Reg(isa::kS1)) << "edited byte " << i;
+    EXPECT_EQ(m.ctx().state.instret, warm.ctx().state.instret) << "edited byte " << i;
+  }
+}
+
+// A hot loop whose tier-2 trace splices several blocks over two code pages:
+// a block that ends at the 64-instruction cap and falls through into the
+// next, a call into a function on another page, and the loop-closing branch.
+std::string MultiBlockLoop() {
+  std::string src = "_start:\n    li a0, 0\n    li t1, 3000\n    li s1, 7\nloop:\n";
+  for (int i = 0; i < 70; ++i) {
+    src += "    addi s1, s1, " + std::to_string(i % 7 + 1) + "\n";
+  }
+  src += R"(
+    addi a0, a0, 1
+    jal ra, far
+    xor s1, s1, a0
+    blt a0, t1, loop
+    halt
+.org 0x3000
+far:
+    slli t0, s1, 3
+    add s1, s1, t0
+    ret
+)";
+  return src;
+}
+
+TEST(Tier2Test, PersistRoundTripIsAFixedPoint) {
+  // Installing a blob and serializing again must give the same bytes: the
+  // restored cache holds exactly what the blob names, heat and pass counts
+  // included. The restored units are the ones the warm engine compiled, so
+  // the fresh run needs no cold translate and no promotion.
+  for (const std::string& prog : {std::string(kComputeLoop), MultiBlockLoop()}) {
+    TestMachine warm = MakeTier2Machine();
+    warm.Load(prog);
+    warm.RunToHalt(100'000'000);
+    ASSERT_GE(warm.ctx().stats.tier2_promotions, 1u);
+    std::vector<uint8_t> blob = warm.engine().SerializeTranslations();
+
+    TestMachine fresh = MakeTier2Machine();
+    fresh.Load(prog);
+    fresh.engine().InstallTranslations(fresh.ctx(), blob);
+    EXPECT_EQ(fresh.ctx().stats.persist_misses, 0u);
+    EXPECT_EQ(fresh.engine().SerializeTranslations(), blob);
+    fresh.RunToHalt(100'000'000);
+    EXPECT_EQ(fresh.ctx().stats.blocks_translated, 0u);
+    EXPECT_EQ(fresh.ctx().stats.tier2_promotions, 0u);
+    EXPECT_GT(fresh.ctx().stats.tier2_executions, 0u);
+    EXPECT_EQ(fresh.Reg(isa::kS1), warm.Reg(isa::kS1));
+    EXPECT_EQ(fresh.ctx().state.instret, warm.ctx().state.instret);
+  }
+}
+
 TEST(Tier2Test, Tier1OnlyOptionDisablesPromotion) {
   cpu::DbtOptions o;
   o.enable_tier2 = false;
   TestMachine m(1u << 20, PagingMode::kNested, EngineKind::kDbt,
-                VirtMode::kHardwareAssist, /*dbt_max_blocks=*/0, o);
+                VirtMode::kHardwareAssist, o);
   m.Load(kComputeLoop);
   m.RunToHalt(100'000'000);
   EXPECT_EQ(m.ctx().stats.tier2_promotions, 0u);

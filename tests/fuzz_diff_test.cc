@@ -259,8 +259,7 @@ struct MachineSnapshot {
 MachineSnapshot Execute(const std::vector<uint32_t>& words, mmu::PagingMode paging,
                         cpu::EngineKind engine, cpu::DbtOptions dbt = {},
                         cpu::VcpuStats* stats_out = nullptr) {
-  testing::TestMachine m(1u << 20, paging, engine, cpu::VirtMode::kHardwareAssist,
-                         /*dbt_max_blocks=*/0, dbt);
+  testing::TestMachine m(1u << 20, paging, engine, cpu::VirtMode::kHardwareAssist, dbt);
   // Load raw words at the reset pc.
   uint32_t addr = isa::kResetPc;
   for (uint32_t w : words) {
@@ -356,8 +355,7 @@ TEST(FuzzDiffTest, VirtualizersAgreeOnRandomPrograms) {
 MachineSnapshot ExecuteAsm(const std::string& source, mmu::PagingMode paging,
                            cpu::EngineKind engine, uint64_t max_cycles = 100'000'000,
                            cpu::DbtOptions dbt = {}) {
-  testing::TestMachine m(8u << 20, paging, engine, cpu::VirtMode::kHardwareAssist,
-                         /*dbt_max_blocks=*/0, dbt);
+  testing::TestMachine m(8u << 20, paging, engine, cpu::VirtMode::kHardwareAssist, dbt);
   m.Load(source);
   auto r = m.Run(max_cycles);
   EXPECT_EQ(r.reason, cpu::ExitReason::kHalt) << "engine " << static_cast<int>(engine);

@@ -24,24 +24,18 @@ namespace hyperion::testing {
 // exercises the CPU/MMU layers in isolation.
 class TestMachine {
  public:
-  // `dbt_max_blocks` overrides the DBT block-cache capacity (0 = default);
-  // tiny caches force the eviction machinery in unit tests. `dbt_options`
-  // passes the full knob set (tier-2 threshold etc.); a nonzero
-  // dbt_max_blocks overrides its capacity for backward compatibility.
+  // `dbt_options` passes the DBT knob set: block-cache capacity (tiny
+  // caches force the eviction machinery in unit tests), tier-2 threshold.
   explicit TestMachine(uint32_t ram_bytes = 1u << 20,
                        mmu::PagingMode paging = mmu::PagingMode::kNested,
                        cpu::EngineKind engine = cpu::EngineKind::kInterpreter,
                        cpu::VirtMode virt_mode = cpu::VirtMode::kHardwareAssist,
-                       size_t dbt_max_blocks = 0,
-                       cpu::DbtOptions dbt_options = {})
+                       const cpu::DbtOptions& dbt_options = {})
       : pool_(2 * (ram_bytes / isa::kPageSize) + 64) {
     auto mem = mem::GuestMemory::Create(&pool_, ram_bytes);
     EXPECT_TRUE(mem.ok()) << mem.status().ToString();
     memory_ = std::move(mem).value();
     virt_ = mmu::MakeVirtualizer(paging, memory_.get());
-    if (dbt_max_blocks != 0) {
-      dbt_options.max_blocks = dbt_max_blocks;
-    }
     engine_ = cpu::MakeEngine(engine, dbt_options);
     ctx_.memory = memory_.get();
     ctx_.virt = virt_.get();

@@ -469,7 +469,7 @@ TEST_F(MmuFixture, NestedAsidSurvivesPtbrSwitch) {
   WritePte(0x90, 0, Pte::Make(kL2, Pte::kValid));
 
   auto plain = MakeNestedPaging(memory_.get());
-  auto asid = MakeNestedPaging(memory_.get(), CostModel::Default(), 256, /*asid_tlb=*/true);
+  auto asid = MakeNestedPaging(memory_.get(), CostModel::Default(), /*asid_tlb=*/true);
   for (auto* v : {plain.get(), asid.get()}) {
     v->OnPtbrWrite(kRoot);
     (void)v->Translate(0x5000, Access::kLoad, isa::PrivMode::kSupervisor, true, kRoot);
@@ -489,7 +489,7 @@ TEST_F(MmuFixture, NestedAsidInvalidateGpnCrossesSpaces) {
   WritePte(kL2, 5, Pte::Make(0x42, Pte::kValid | Pte::kRead | Pte::kWrite | Pte::kDirty |
                                        Pte::kAccessed));
   WritePte(0x90, 0, Pte::Make(kL2, Pte::kValid));
-  auto v = MakeNestedPaging(memory_.get(), CostModel::Default(), 256, /*asid_tlb=*/true);
+  auto v = MakeNestedPaging(memory_.get(), CostModel::Default(), /*asid_tlb=*/true);
   v->OnPtbrWrite(kRoot);
   (void)v->Translate(0x5000, Access::kStore, isa::PrivMode::kSupervisor, true, kRoot);
   v->OnPtbrWrite(0x90);

@@ -21,6 +21,12 @@
 # CARGO_TARGET_DIR (<side>/.bench_build), and every run's digest must equal
 # the warm-up's.
 #
+# Before any workload it also builds each side's Release bench_migration
+# (into <side>/build-perf, as tools/ci.sh does) and stops unless the sha256
+# of the two outputs match: those F4 tables are simulated time only, so any
+# difference is a change in simulated behaviour, the same rule as the
+# digests.
+#
 # The output, BENCH_<pr>.json in the current directory, holds per workload
 # and end-to-end metric of BENCHMARK.json: each side's median and quartiles,
 # the change's relative median delta (positive = better), the number of
@@ -71,6 +77,25 @@ run() {
 
 digest() { awk '$1 == "sim_digest" {print $2}' "$1"; }
 
+# migration_sha SIDE_NAME DIR: sha256 of DIR's Release bench_migration
+# output; the build log lands in $LOGS.
+migration_sha() {
+  local name="$1" dir="$2" log="$LOGS/bench_migration-$1-build.log"
+  echo "  $name bench_migration" >&2
+  { cmake -B "$dir/build-perf" -S "$dir" -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build "$dir/build-perf" -j "$(nproc)" --target bench_migration; } >"$log" 2>&1 ||
+    { echo "bench_migration build failed, see $log" >&2; return 1; }
+  "$dir/build-perf/bench/bench_migration" | sha256sum | awk '{print $1}'
+}
+
+echo "== bench_migration: build and sha256 check" >&2
+MIGRATION_SHA=$(migration_sha parent "$PARENT")
+CHANGE_MIGRATION_SHA=$(migration_sha change "$CHANGE")
+if [[ "$MIGRATION_SHA" != "$CHANGE_MIGRATION_SHA" ]]; then
+  echo "bench_migration sha256 differs: parent $MIGRATION_SHA, change $CHANGE_MIGRATION_SHA" >&2
+  exit 1
+fi
+
 for spec in "$@"; do
   workload="${spec%%:*}"
   seed="${spec##*:}"
@@ -101,11 +126,11 @@ for spec in "$@"; do
 done
 
 python3 - "$CHANGE/BENCHMARK.json" "$LOGS" "$OUT" "$PAIRS" "$SECONDS_ARG" \
-  "$PARENT" "$CHANGE" "$@" <<'EOF'
+  "$PARENT" "$CHANGE" "$MIGRATION_SHA" "$@" <<'EOF'
 import json, os, platform, statistics, subprocess, sys
 
-spec_path, logs, out, pairs, seconds, parent, change = sys.argv[1:8]
-runs_wanted = sys.argv[8:]
+spec_path, logs, out, pairs, seconds, parent, change, migration_sha = sys.argv[1:9]
+runs_wanted = sys.argv[9:]
 pairs = int(pairs)
 spec = json.load(open(spec_path))
 
@@ -132,6 +157,7 @@ report = {
     "pairs": pairs,
     "run_seconds": float(seconds),
     "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+    "bench_migration_sha256": migration_sha,
     "workloads": [],
 }
 for item in runs_wanted:

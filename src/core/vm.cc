@@ -302,7 +302,6 @@ bool Vm::HandleHypercall(const ExecutePhase& ph, uint32_t vcpu_idx, SimTime now,
     case Hypercall::kBalloonInflate: {
       Status st = memory_->ReleasePage(ph, a1);
       if (st.ok()) {
-        InvalidateGpn(a1);
         ++ballooned_pages_;
       } else {
         ret = 1;
@@ -312,7 +311,6 @@ bool Vm::HandleHypercall(const ExecutePhase& ph, uint32_t vcpu_idx, SimTime now,
     case Hypercall::kBalloonDeflate: {
       Status st = memory_->PopulatePage(a1);
       if (st.ok()) {
-        InvalidateGpn(a1);
         if (ballooned_pages_ > 0) {
           --ballooned_pages_;
         }

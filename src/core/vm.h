@@ -178,7 +178,7 @@ class Vm {
   const Status& crash_reason() const { return crash_reason_; }
 
   // Invalidates cached translations for a guest page on every vCPU engine
-  // and the virtualizer (page arrival, KSM, balloon).
+  // and the virtualizer (the memory's invalidate hook, post-copy overwrites).
   void InvalidateGpn(uint32_t gpn);
 
  private:

@@ -98,20 +98,6 @@ class DbtEngine final : public ExecutionEngine {
     ExecCore core(ctx, this);
     CpuState& s = ctx.state;
 
-    if (s.halted) {
-      core.Exit(ExitReason::kHalt);
-      return core.Finish();
-    }
-    if (s.waiting) {
-      core.CheckTimer();
-      if (s.ipend == 0) {
-        core.Charge(1);
-        core.Exit(ExitReason::kWfi);
-        return core.Finish();
-      }
-      s.waiting = false;
-    }
-
     Block* prev = nullptr;  // last executed block, for chain patching
     uint64_t prev_gen = 0;  // chain_gen_ at the time `prev` was recorded
 

@@ -35,6 +35,21 @@ class ExecCore {
       fallback_phase_.emplace();
       phase_ = &fallback_phase_->get();
     }
+    // Every engine's run opens here. A halted vCPU exits at once, and so
+    // does a parked (WFI) one unless a pending interrupt unparks it; the
+    // engine's loop then never starts.
+    CpuState& s = ctx.state;
+    if (s.halted) {
+      Exit(ExitReason::kHalt);
+    } else if (s.waiting) {
+      CheckTimer();
+      if (s.ipend == 0) {
+        Charge(1);  // the parked vCPU consumes (almost) nothing
+        Exit(ExitReason::kWfi);
+      } else {
+        s.waiting = false;
+      }
+    }
   }
 
   uint64_t cycles() const { return cycles_; }

@@ -8,20 +8,6 @@ RunResult Interpreter::Run(VcpuContext& ctx, uint64_t max_cycles) {
   ExecCore core(ctx, this);
   CpuState& s = ctx.state;
 
-  if (s.halted) {
-    core.Exit(ExitReason::kHalt);
-    return core.Finish();
-  }
-  if (s.waiting) {
-    core.CheckTimer();
-    if (s.ipend == 0) {
-      core.Charge(1);  // the parked vCPU consumes (almost) nothing
-      core.Exit(ExitReason::kWfi);
-      return core.Finish();
-    }
-    s.waiting = false;
-  }
-
   while (!core.exited() && core.cycles() < max_cycles) {
     core.CheckTimer();
     if (core.DeliverInterruptIfPending()) {

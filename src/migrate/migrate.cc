@@ -131,15 +131,16 @@ using AdoptStep = std::function<Status(Migration&, core::Vm* dvm)>;
 //             failure here leaves the guest as it was.
 //   blackout  runs once the guest is paused, before the machine state
 //             crosses (pre-copy's stop-and-copy).
-//   adopt     runs once the destination clone is running (post-copy's
-//             demand paging); it adds its own time to total_time.
+//   adopt     runs once the destination is running (post-copy's demand
+//             paging); it adds its own time to total_time.
 // Between blackout and adopt the machine state crosses, the downtime is
-// stamped, and the destination is cloned from the now-consistent source.
+// stamped, and the destination is made from the now-consistent source.
 // From the pause on, any failure rolls back: no VM stays on `dst`, and the
 // source resumes if it was running. The report lands in *report either way.
 Result<core::Vm*> Migrate(core::Host& src, core::Vm* vm, core::Host& dst,
                           const MigrateOptions& options, MigrationReport* report,
-                          const Step& live, const Step& blackout, const AdoptStep& adopt) {
+                          snapshot::PageSource pages, const Step& live, const Step& blackout,
+                          const AdoptStep& adopt) {
   if (vm->state() != core::VmState::kRunning && vm->state() != core::VmState::kPaused) {
     return FailedPreconditionError("vm is not migratable in its current state");
   }
@@ -185,19 +186,13 @@ Result<core::Vm*> Migrate(core::Host& src, core::Vm* vm, core::Host& dst,
   }
   m.rep.downtime = src.clock().now() - pause_start;
 
-  auto image = snapshot::SaveVm(*vm);
-  if (!image.ok()) {
-    return roll_back(image.status());
-  }
   // Same configuration; the disk is shared storage, so the shared_ptr simply
   // attaches at the destination too.
-  auto created = snapshot::CloneVm(dst, vm->config(), *image);
+  auto created = snapshot::MakeVmFrom(dst, vm->config(), *vm, pages);
   if (!created.ok()) {
     return roll_back(created.status());
   }
   dvm = *created;
-  dvm->Pause(m.serial);  // align lifecycle state, then resume cleanly
-  dvm->Resume(m.serial);
   SimTime switched = src.clock().now() - t0;
   if (adopt) {
     Status st = adopt(m, dvm);
@@ -314,16 +309,18 @@ class PostCopyServer : public std::enable_shared_from_this<PostCopyServer> {
 
   void DeliverPage(const SerialPhase& ph, uint32_t gpn) {
     in_flight_.erase(gpn);
-    // Copy the bytes from the (paused) source.
+    // Copy the bytes from the (paused) source. Populating fires the invalidate
+    // hook; overwriting a page the guest populated itself needs a manual one.
     mem::GuestMemory& dmem = dst_vm_->memory();
-    if (!dmem.IsPresent(gpn)) {
+    if (dmem.IsPresent(gpn)) {
+      dst_vm_->InvalidateGpn(gpn);
+    } else {
       (void)dmem.PopulatePage(gpn);
     }
     const uint8_t* from = src_vm_->memory().PageData(gpn);
     if (from != nullptr) {
       std::memcpy(dmem.PageData(gpn), from, isa::kPageSize);
     }
-    dst_vm_->InvalidateGpn(gpn);
 
     auto stall = stalls_.find(gpn);
     if (stall != stalls_.end()) {
@@ -426,7 +423,8 @@ Result<core::Vm*> PreCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
     }
     return OkStatus();
   };
-  return Migrate(src, vm, dst, options, report, rounds, stop_and_copy, nullptr);
+  return Migrate(src, vm, dst, options, report, snapshot::PageSource::kCopy, rounds,
+                 stop_and_copy, nullptr);
 }
 
 Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst,
@@ -434,12 +432,6 @@ Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst
   // Only the machine state crosses before the guest resumes at the
   // destination; its RAM follows on demand.
   auto demand_page = [&](Migration& m, core::Vm* dvm) -> Status {
-    for (uint32_t gpn = 0; gpn < dvm->memory().num_pages(); ++gpn) {
-      if (dvm->memory().IsPresent(gpn)) {
-        HYP_RETURN_IF_ERROR(dvm->memory().ReleasePage(m.serial, gpn));
-      }
-    }
-    dvm->virt().FlushAll();
     auto server = std::make_shared<PostCopyServer>(vm, dvm, &dst, options, m.rep);
     server->StartBackgroundPush(m.serial);
 
@@ -471,7 +463,8 @@ Result<core::Vm*> PostCopyMigrate(core::Host& src, core::Vm* vm, core::Host& dst
     }
     return st;  // the server dies here; pending wire callbacks hold weak_ptrs
   };
-  return Migrate(src, vm, dst, options, report, nullptr, nullptr, demand_page);
+  return Migrate(src, vm, dst, options, report, snapshot::PageSource::kDemand, nullptr, nullptr,
+                 demand_page);
 }
 
 }  // namespace hyperion::migrate

@@ -9,6 +9,9 @@
 // background pusher drains the rest. Downtime is constant; the cost moves
 // into demand-fetch stalls.
 //
+// Both flavors make the destination at switchover straight from the paused
+// source (snapshot::MakeVmFrom): pre-copy copies its pages, post-copy leaves
+// them to demand paging. The rounds charge wire time but copy nothing.
 // Storage is assumed shared between hosts (the standard deployment); only
 // RAM and machine state move.
 //

@@ -26,7 +26,7 @@ constexpr uint8_t kPageAbsent = 2;
 constexpr uint8_t kFlagIncremental = 1;
 
 // Encodes `vm` with a page section of exactly `pages`. SaveVm picks the
-// pages; ForkVm passes none to carry the machine state alone.
+// pages; MakeVmFrom passes none to carry the machine state alone.
 std::vector<uint8_t> Encode(core::Vm& vm, SaveOptions options, const std::vector<uint32_t>& pages,
                             SnapshotInfo* info) {
   ByteWriter w;
@@ -140,7 +140,10 @@ Result<std::vector<uint8_t>> SaveVm(core::Vm& vm, SaveOptions options, SnapshotI
   return Encode(vm, options, pages, info);
 }
 
-Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes) {
+namespace {
+
+// LoadVm. `fresh`: `vm` was just created, so every page is present and reads zero.
+Status Restore(core::Vm& vm, std::span<const uint8_t> bytes, bool fresh) {
   if (bytes.size() < 8) {
     return DataLossError("snapshot too small");
   }
@@ -190,10 +193,10 @@ Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes) {
   mem::GuestMemory& mem = vm.memory();
   // Restore runs serially between rounds; the token is runtime-checked once.
   ScopedSerialPhase serial;
-  if (!incremental) {
+  if (!incremental && !fresh) {
     // Full restore baseline: every page present and zeroed. A page that
-    // already reads zero is left alone, so a fresh target (whose frames
-    // were never touched) is not faulted in just to store zeros.
+    // already reads zero is left alone, so frames the host never touched
+    // are not faulted in just to store zeros.
     for (uint32_t gpn = 0; gpn < mem.num_pages(); ++gpn) {
       if (!mem.IsPresent(gpn)) {
         HYP_RETURN_IF_ERROR(mem.PopulatePage(gpn));
@@ -278,77 +281,79 @@ Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes) {
   return OkStatus();
 }
 
-Result<core::Vm*> CloneVm(core::Host& host, core::VmConfig config,
-                          std::span<const uint8_t> template_snapshot) {
+template <typename Init>
+Result<core::Vm*> CreateVmThen(core::Host& host, core::VmConfig config, Init init) {
   HYP_ASSIGN_OR_RETURN(core::Vm * vm, host.CreateVm(std::move(config)));
-  Status st = LoadVm(*vm, template_snapshot);
-  if (!st.ok()) {
+  if (Status st = init(*vm); !st.ok()) {
     (void)host.DestroyVm(vm);
     return st;
   }
   return vm;
 }
 
-Result<core::Vm*> ForkVm(core::Host& host, core::VmConfig config, core::Vm& parent) {
-  if (parent.state() != core::VmState::kPaused) {
-    return FailedPreconditionError("fork requires a paused parent");
-  }
-  if (config.ram_bytes != parent.memory().ram_size() ||
-      config.num_vcpus != parent.num_vcpus()) {
-    return InvalidArgumentError("fork config geometry must match the parent");
-  }
+}  // namespace
 
-  HYP_ASSIGN_OR_RETURN(core::Vm * child, host.CreateVm(std::move(config)));
-  auto fail = [&host, child](Status st) -> Result<core::Vm*> {
-    (void)host.DestroyVm(child);
-    return st;
-  };
+Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes) { return Restore(vm, bytes, false); }
 
-  // Non-RAM machine state transfers through a RAM-less image: an
-  // incremental encoding with no pages patches CPU, device and console
-  // state only. Translations cannot ride it: the child's RAM is not shared
-  // yet, so revalidation would reject every unit. They install below, after
-  // the COW remap, straight from the parent's engines.
-  std::vector<uint8_t> state_image =
-      Encode(parent, {.incremental = true, .translations = false}, {}, nullptr);
-  if (Status st = LoadVm(*child, state_image); !st.ok()) {
-    return fail(st);
+Result<core::Vm*> CloneVm(core::Host& host, core::VmConfig config,
+                          std::span<const uint8_t> template_snapshot) {
+  return CreateVmThen(host, std::move(config), [&](core::Vm& vm) {
+    return Restore(vm, template_snapshot, /*fresh=*/true);
+  });
+}
+
+Result<core::Vm*> MakeVmFrom(core::Host& host, core::VmConfig config, core::Vm& source,
+                             PageSource pages) {
+  if (source.state() == core::VmState::kRunning) {
+    return FailedPreconditionError("a vm can be made only from a stopped source");
+  }
+  if (config.ram_bytes != source.memory().ram_size() ||
+      config.num_vcpus != source.num_vcpus()) {
+    return InvalidArgumentError("config geometry must match the source");
   }
 
-  // Share every present parent page into the child, copy-on-write.
-  ScopedSerialPhase serial;
-  mem::GuestMemory& pmem = parent.memory();
-  mem::GuestMemory& cmem = child->memory();
-  for (uint32_t gpn = 0; gpn < pmem.num_pages(); ++gpn) {
-    if (!pmem.IsPresent(gpn)) {
-      if (cmem.IsPresent(gpn)) {
-        if (Status st = cmem.ReleasePage(serial, gpn); !st.ok()) {
-          return fail(st);
+  return CreateVmThen(host, std::move(config), [&](core::Vm& vm) -> Status {
+    // One pass in page order over the fresh VM, whose pages are all present
+    // and read zero.
+    ScopedSerialPhase serial;
+    mem::GuestMemory& smem = source.memory();
+    mem::GuestMemory& dmem = vm.memory();
+    for (uint32_t gpn = 0; gpn < smem.num_pages(); ++gpn) {
+      if (!smem.IsPresent(gpn)) {
+        HYP_RETURN_IF_ERROR(dmem.ReleasePage(serial, gpn));
+      } else if (pages == PageSource::kShare) {
+        HYP_RETURN_IF_ERROR(dmem.RemapPage(serial, gpn, smem.FrameForPage(gpn)));
+        dmem.SetShared(gpn, true);
+        smem.SetShared(gpn, true);
+        smem.NotifySharedExternally(gpn);
+      } else if (pages == PageSource::kCopy && !smem.PageIsZero(gpn)) {
+        // Copying a zero page would only fault in a frame that reads zero.
+        std::memcpy(dmem.PageData(gpn), smem.PageData(gpn), isa::kPageSize);
+      }
+    }
+
+    // Machine state crosses once, in a page-less image whose restore counts
+    // the released pages as ballooned; the translation caches ride along
+    // when the pages they re-derive from are in place.
+    std::vector<uint8_t> state_image = Encode(
+        source, {.incremental = true, .translations = pages != PageSource::kDemand}, {}, nullptr);
+    HYP_RETURN_IF_ERROR(LoadVm(vm, state_image));
+    if (pages == PageSource::kDemand) {
+      // Post-copy delivers every present page; until then it is absent.
+      for (uint32_t gpn = 0; gpn < smem.num_pages(); ++gpn) {
+        if (smem.IsPresent(gpn)) {
+          HYP_RETURN_IF_ERROR(dmem.ReleasePage(serial, gpn));
         }
       }
-      continue;
     }
-    if (Status st = cmem.RemapPage(serial, gpn, pmem.FrameForPage(gpn)); !st.ok()) {
-      return fail(st);
-    }
-    cmem.SetShared(gpn, true);
-    pmem.SetShared(gpn, true);
-    pmem.NotifySharedExternally(gpn);
-  }
-  child->virt().FlushAll();
-  for (uint32_t i = 0; i < child->num_vcpus(); ++i) {
-    child->engine(i).FlushCodeCache();
-  }
-  // Pre-warm the child's code caches from the parent now that its pages
-  // share the parent's frames: revalidation reads the shared frames, so a
-  // fork of a warmed parent starts with zero cold translates.
-  for (uint32_t i = 0; i < child->num_vcpus(); ++i) {
-    std::vector<uint8_t> blob = parent.engine(i).SerializeTranslations();
-    child->engine(i).InstallTranslations(child->vcpu(i), blob);
-  }
-  child->Pause(serial);
-  child->Resume(serial);
-  return child;
+    vm.Pause(serial);  // align lifecycle state, then resume cleanly
+    vm.Resume(serial);
+    return OkStatus();
+  });
+}
+
+Result<core::Vm*> ForkVm(core::Host& host, core::VmConfig config, core::Vm& parent) {
+  return MakeVmFrom(host, std::move(config), parent, PageSource::kShare);
 }
 
 }  // namespace hyperion::snapshot

@@ -1,6 +1,7 @@
 // Whole-VM snapshots: CPU state, RAM (zero-page elided), device registers,
 // console state. Supports full snapshots, incremental (dirty-only)
-// snapshots for checkpointing, and template cloning for fast provisioning.
+// snapshots for checkpointing, template cloning for fast provisioning, and
+// VMs made straight from a stopped VM (a fork, a migration's destination).
 //
 // Disk contents are NOT captured here: block storage snapshots by stacking
 // HVD overlays (src/storage), the standard split in production VMMs.
@@ -52,13 +53,24 @@ Status LoadVm(core::Vm& vm, std::span<const uint8_t> bytes);
 Result<core::Vm*> CloneVm(core::Host& host, core::VmConfig config,
                           std::span<const uint8_t> template_snapshot);
 
-// VM fork (SnowFlock-style): creates a child VM on the same host whose RAM
-// pages *share* the parent's host frames copy-on-write — O(pages) metadata,
-// zero page copies up front. Writes on either side privatize the touched
-// page through the regular COW-break machinery. The parent must be paused
-// for the fork instant; config must match the parent's geometry and device
-// complement (same RAM size, vCPUs, device models). The parent's dirty log
-// is left alone, so a snapshot chain on the parent stays whole.
+// Where MakeVmFrom gets the source's present pages.
+enum class PageSource : uint8_t {
+  kShare,   // map the source's frames copy-on-write (fork)
+  kCopy,    // copy every non-zero page; the rest already read zero
+  kDemand,  // leave them absent for post-copy to deliver
+};
+
+// Creates a running VM on `host` from `config` and the stopped `source`,
+// whose geometry and devices `config` must match. The new VM lacks the pages
+// the source lacks and gets the others as `pages` says; machine state (with
+// the translation caches unless kDemand) is restored once from a page-less
+// image. The source's dirty log is left alone.
+Result<core::Vm*> MakeVmFrom(core::Host& host, core::VmConfig config, core::Vm& source,
+                             PageSource pages);
+
+// VM fork (SnowFlock-style): MakeVmFrom with kShare. Child and parent share
+// every host frame copy-on-write — O(pages) metadata, no page copies; a
+// write on either side privatizes the page it touches.
 Result<core::Vm*> ForkVm(core::Host& host, core::VmConfig config, core::Vm& parent);
 
 }  // namespace hyperion::snapshot

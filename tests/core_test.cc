@@ -518,6 +518,33 @@ TEST(SnapshotTest, TemplateCloningProvisionsManyVms) {
   }
 }
 
+// A clone's restore trusts its new VM to read zero everywhere, so pages the
+// template elides as zero must read zero even on frames a scribbled,
+// destroyed VM handed back to the pool.
+TEST(SnapshotTest, CloneOnRecycledFramesMatchesTemplate) {
+  Host host;
+  Vm* golden = BootVm(host, VmConfig{.name = "golden"}, guest::ComputeProgram(300));
+  golden->Pause(TestPhase());
+  snapshot::SnapshotInfo info;
+  auto tmpl = snapshot::SaveVm(*golden, {}, &info);
+  ASSERT_TRUE(tmpl.ok());
+  ASSERT_GT(info.pages_zero, 0u);
+
+  Vm* scratch = BootVm(host, VmConfig{.name = "scratch"}, guest::ComputeProgram(10));
+  mem::GuestMemory& sm = scratch->memory();
+  std::vector<uint8_t> junk(isa::kPageSize, 0xA5);
+  for (uint32_t gpn = 0; gpn < sm.num_pages(); ++gpn) {
+    ASSERT_TRUE(sm.Write(gpn * isa::kPageSize, junk.data(), junk.size()).ok());
+  }
+  const uint64_t freed = host.pool().free_frames() + sm.num_pages();
+  ASSERT_TRUE(host.DestroyVm(scratch).ok());
+  ASSERT_EQ(host.pool().free_frames(), freed);  // every scribbled frame is back
+
+  auto clone = snapshot::CloneVm(host, VmConfig{.name = "clone"}, *tmpl);
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  EXPECT_EQ(RamDigest(**clone), RamDigest(*golden));
+}
+
 // ---------------------------------------------------------------------------
 // Persistent translations: a snapshot of a warmed DBT VM carries its
 // validated translation units (snapshot v2, kFeatTranslations), so a
@@ -872,6 +899,27 @@ TEST(ForkTest, WritesDivergePrivately) {
   EXPECT_GT(pp, 0u);
   EXPECT_GT(cp, 0u);
   EXPECT_GT((*child)->TotalStats().cow_breaks + parent->TotalStats().cow_breaks, 0u);
+}
+
+TEST(ForkTest, ChildOfABalloonedParentKeepsTheBalloon) {
+  // The child lacks what the parent lacks, and its balloon accounting says
+  // so: the pages it never got count as ballooned, as in the parent.
+  Host host;
+  Vm* parent = BootVm(host, VmConfig{.name = "balparent"},
+                      guest::BalloonDriverProgram(512, 512, 50000));
+  parent->SetBalloonTarget(64);
+  host.RunFor(100 * kSimTicksPerMs);
+  ASSERT_EQ(parent->ballooned_pages(), 64u);
+  parent->Pause(TestPhase());
+
+  auto child = snapshot::ForkVm(host, VmConfig{.name = "balchild"}, *parent);
+  ASSERT_TRUE(child.ok()) << child.status().ToString();
+  uint32_t absent = 0;
+  for (uint32_t gpn = 0; gpn < (*child)->memory().num_pages(); ++gpn) {
+    absent += (*child)->memory().IsPresent(gpn) ? 0 : 1;
+  }
+  EXPECT_EQ(absent, 64u);
+  EXPECT_EQ((*child)->ballooned_pages(), 64u);
 }
 
 TEST(ForkTest, GeometryMismatchRejected) {

@@ -159,6 +159,26 @@ TEST(MigrateStateTest, BalloonedPagesStayAbsentAcrossPreCopy) {
   EXPECT_EQ(present, (*moved)->memory().num_pages() - 64);
 }
 
+TEST(MigrateStateTest, BalloonedPagesStayAbsentAcrossPostCopy) {
+  Host src, dst;
+  std::string prog = guest::BalloonDriverProgram(512, 512, 50000);
+  Vm* vm = Boot(src, VmConfig{.name = "bal-post"}, prog);
+  vm->SetBalloonTarget(64);
+  src.RunFor(100 * kSimTicksPerMs);
+  ASSERT_EQ(vm->ballooned_pages(), 64u);
+
+  migrate::MigrationReport report;
+  auto moved = migrate::PostCopyMigrate(src, vm, dst, migrate::MigrateOptions{}, &report);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ((*moved)->ballooned_pages(), 64u);
+  // Post-copy delivered every present page and no ballooned one.
+  uint32_t present = 0;
+  for (uint32_t gpn = 0; gpn < (*moved)->memory().num_pages(); ++gpn) {
+    present += (*moved)->memory().IsPresent(gpn) ? 1 : 0;
+  }
+  EXPECT_EQ(present, (*moved)->memory().num_pages() - 64);
+}
+
 // ---------------------------------------------------------------------------
 // SMP migration and snapshotting: a 4-vCPU guest is moved / checkpointed in
 // the middle of its TLB-shootdown gauntlet. The restored machine must carry

@@ -21,6 +21,13 @@
 # CARGO_TARGET_DIR (<side>/.bench_build), and every run's digest must equal
 # the warm-up's.
 #
+# Between the warm-up and the pairs it runs each side once more with
+# --trace 1 (one repetition at the same seed) and stops unless every
+# per-layer metric that hvbench/metrics.json puts on the count or sim clock
+# is equal on both sides: those are simulated events, so a difference is a
+# change in simulated behaviour that the digests happen not to cover. The
+# JSON records them.
+#
 # Before any workload it also builds each side's Release bench_migration
 # (into <side>/build-perf, as tools/ci.sh does) and stops unless the sha256
 # of the two outputs match: those F4 tables are simulated time only, so any
@@ -28,8 +35,9 @@
 # digests.
 #
 # The output, BENCH_<pr>.json in the current directory, holds per workload
-# and end-to-end metric of BENCHMARK.json: each side's median and quartiles,
-# the change's relative median delta (positive = better), the number of
+# the simulated per-layer metrics of the traced run and, per end-to-end
+# metric of BENCHMARK.json, each side's median and quartiles, the change's
+# relative median delta (positive = better), the number of
 # pairs the change won, whether the median moved by more than the parent's
 # interquartile range, whether it stayed within the metric's bound, and
 # whether it is unresolved: the parent's interquartile range, relative to
@@ -65,14 +73,30 @@ mkdir -p "$LOGS"
 SECONDS_ARG=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
   "$CHANGE/BENCHMARK.json")
 
-# run SIDE_NAME DIR WORKLOAD SEED SECONDS LOG: one hvbench run; its last
-# stdout line (the JSON result) lands in LOG.
+# run SIDE_NAME DIR WORKLOAD SEED SECONDS LOG [ARG...]: one hvbench run,
+# with any further ARGs passed on; its last stdout line (the JSON result)
+# lands in LOG.
 run() {
   local name="$1" dir="$2" workload="$3" seed="$4" seconds="$5" log="$6"
-  echo "  $name $workload seed $seed ${seconds}s" >&2
+  shift 6
+  echo "  $name $workload seed $seed ${seconds}s $*" >&2
   (cd "$dir" && CARGO_TARGET_DIR="$dir/.bench_build" \
-    python3 hvbench/run.py --workload "$workload" --seed "$seed" --seconds "$seconds") \
+    python3 hvbench/run.py --workload "$workload" --seed "$seed" --seconds "$seconds" "$@") \
     >"$log" 2>&1 || { echo "run failed, see $log" >&2; exit 1; }
+}
+
+# simulated_metrics METRICS_JSON LOG: the count- and sim-clock per-layer
+# metrics of a traced run's LOG, one "name value" line each.
+simulated_metrics() {
+  python3 - "$1" "$2" <<'EOF'
+import json, sys
+spec = json.load(open(sys.argv[1]))
+with open(sys.argv[2]) as f:
+    result = json.loads([l for l in f.read().splitlines() if l.startswith("{")][-1])
+for m in spec["per_layer"]:
+    if m["clock"] in ("count", "sim"):
+        print(m["name"], repr(result["metrics"][m["name"]]["value"]))
+EOF
 }
 
 digest() { awk '$1 == "sim_digest" {print $2}' "$1"; }
@@ -107,6 +131,17 @@ for spec in "$@"; do
   got=$(digest "$LOGS/$tag-change-warmup.log")
   if [[ -z "$want" || "$want" != "$got" ]]; then
     echo "sim_digest differs on $tag: parent '$want', change '$got'" >&2
+    exit 1
+  fi
+  echo "== $tag: traced run and simulated per-layer check" >&2
+  run parent "$PARENT" "$workload" "$seed" 0 "$LOGS/$tag-parent-traced.log" --trace 1
+  run change "$CHANGE" "$workload" "$seed" 0 "$LOGS/$tag-change-traced.log" --trace 1
+  for side in parent change; do
+    simulated_metrics "$CHANGE/hvbench/metrics.json" "$LOGS/$tag-$side-traced.log" \
+      >"$LOGS/$tag-$side-simulated.txt"
+  done
+  if ! diff "$LOGS/$tag-parent-simulated.txt" "$LOGS/$tag-change-simulated.txt" >&2; then
+    echo "simulated per-layer metrics differ on $tag (< parent, > change)" >&2
     exit 1
   fi
   for ((i = 0; i < PAIRS; i++)); do
@@ -165,6 +200,8 @@ for item in runs_wanted:
     tag = f"{workload}-{seed}"
     with open(os.path.join(logs, f"{tag}-parent-warmup.log")) as f:
         digest = next(l.split()[1] for l in f if l.startswith("sim_digest "))
+    with open(os.path.join(logs, f"{tag}-parent-simulated.txt")) as f:
+        simulated = {name: json.loads(value) for name, value in map(str.split, f)}
     raw = []
     for i in range(pairs):
         pair = {"order": "parent-first" if i % 2 == 0 else "change-first"}
@@ -207,6 +244,7 @@ for item in runs_wanted:
         "sim_digest": digest,
         "failed": {s: sum(r[s]["failed"] for r in raw) for s in ("parent", "change")},
         "attempted": {s: sum(r[s]["attempted"] for r in raw) for s in ("parent", "change")},
+        "simulated_per_layer": simulated,
         "metrics": metrics,
         "runs": raw,
     })
